@@ -60,19 +60,13 @@ from .learners import (
     Informant,
     Learner,
     SynthLearner,
-    bc_to_ex,
     cantor_pair,
     cantor_unpair,
     class_index_sets,
-    countable_class_learner,
-    cycling_bc_learner,
     embed_reduction,
     identity_reduction,
     learner_from_string,
     prefix_reduction,
-    separator_learner,
-    synth_from_code,
-    transport_learner,
 )
 from .relations import (
     CATALOG_NAMES,
@@ -83,7 +77,6 @@ from .relations import (
     e0_code,
     id_code,
     make_relation,
-    oracle_decide,
     oscillation_display_holds,
     parse_tree_file,
     tree_is_wellfounded,

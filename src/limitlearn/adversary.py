@@ -210,8 +210,10 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
             fed += 1
             if fed > patience:
                 witness = _word_from_ones(ones)
-                assert not witness.is_inf
-                assert not relation.decide(witness, one_rep)
+                if witness.is_inf or relation.decide(witness, one_rep):
+                    raise ContractViolation(
+                        f"round {r}: stuck witness {witness.literal} does not refute "
+                        "the infinite-support claim")
                 phase_log.append(f"round {r}: hypothesis parked at 0 past patience {patience}")
                 return AdversaryRun(witness, tuple(phase_log), tuple(mind_changes),
                                     "LEARNER_STUCK", None, witness)

@@ -51,7 +51,6 @@ from .words import parse_word
 _DEFAULTS = {
     "horizon": 100,
     "seed": 0,
-    "depth": 4,
     "patience": 64,
     "rounds": 10,
     "maxSize": 6,
@@ -74,7 +73,6 @@ class ExperimentConfig:
     learner: str | None
     horizon: int
     seed: int
-    depth: int
     patience: int
     rounds: int
     max_size: int
@@ -140,7 +138,6 @@ def _merge(args) -> ExperimentConfig:
         learner=pick("learner", "learner"),
         horizon=_to_int("horizon", pick("horizon", "horizon")),
         seed=_to_int("seed", pick("seed", "seed")),
-        depth=_to_int("depth", pick("depth", "depth")),
         patience=_to_int("patience", pick("patience", "patience")),
         rounds=_to_int("rounds", pick("rounds", "rounds")),
         max_size=_to_int("maxSize", pick("max_size", "maxSize")),
@@ -200,11 +197,11 @@ def _cmd_simulate(cfg: ExperimentConfig, out) -> int:
     trace = run_session(learner, target, informant, cfg.horizon)
     certificate = None
     if isinstance(learner, SynthLearner) and informant.is_explicit:
-        certificate = certify_convergence(learner, target, informant)
+        certificate = certify_convergence(learner, target)
     for s in range(trace.horizon + 1):
         print(format_stage_record(s, trace.hypotheses[s], trace.pointers[s],
                                   len(trace.reads[s])), file=out)
-    report = summarize(trace, relation, target, informant, certificate)
+    report = summarize(trace, relation, certificate)
     print(format_summary_record(report), file=out)
     return 0
 
@@ -286,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--learner", help="learner selection string")
         p.add_argument("--horizon", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--depth", type=int)
         p.add_argument("--patience", type=int)
         p.add_argument("--rounds", type=int)
         p.add_argument("--max-size", dest="max_size", type=int)

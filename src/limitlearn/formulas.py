@@ -39,7 +39,6 @@ __all__ = [
     "eval_exact_ep",
     "exact_inner_bound",
     "exact_outer_bound",
-    "forall_m_holds",
     "least_refutation",
     "exists_forall_witness",
     "formula_size",
@@ -383,52 +382,44 @@ def _exact_profile(f):
     return mu, kappa, coeffs
 
 
-def _geometry(x, y):
+def _exact_bounds(f, x, y):
+    """Scan bounds of the exact EF search on x, y, as (floor, mu, lift, outer).
+
+    At outer value n the inner universal is decided by the m below
+    max(floor, mu*n + lift) = max(L, mu*n + kappa + 1) + P, and a true
+    formula has a witness n < outer.
+    """
+    mu, kappa, coeffs = _exact_profile(f)
     big_l = max(len(x.pre), len(y.pre))
     period = math.lcm(len(x.per), len(y.per))
-    return big_l, period
+    classical = (len(x.pre) + len(y.pre)) + period * math.lcm(*coeffs) * 2
+    outer = max(classical, big_l + 3 * period + 2 * kappa + 2)
+    return big_l + period, mu, kappa + 1 + period, outer
 
 
 def exact_inner_bound(f, x, y, n: int) -> int:
-    mu, kappa, _ = _exact_profile(f)
-    big_l, period = _geometry(x, y)
-    return max(big_l, mu * n + kappa + 1) + period
+    floor, mu, lift, _ = _exact_bounds(f, x, y)
+    return max(floor, mu * n + lift)
 
 
 def exact_outer_bound(f, x, y) -> int:
-    mu, kappa, coeffs = _exact_profile(f)
-    big_l, period = _geometry(x, y)
-    coeff_lcm = math.lcm(*coeffs) if coeffs else 1
-    classical = (len(x.pre) + len(y.pre)) + period * coeff_lcm * 2
-    return max(classical, big_l + 3 * period + 2 * kappa + 2)
+    return _exact_bounds(f, x, y)[3]
 
 
-def forall_m_holds(pred, x, y, n: int, bound: int, cp=None) -> bool:
-    if cp is None:
-        cp = compile_pred(pred, x.bit, y.bit)
-    return all(cp(n, m) for m in range(bound))
-
-
-def least_refutation(pred, x, y, n: int, bound: int, cp=None) -> int | None:
-    if cp is None:
-        cp = compile_pred(pred, x.bit, y.bit)
+def least_refutation(pred, x, y, n: int, bound: int) -> int | None:
+    cp = compile_pred(pred, x.bit, y.bit)
     for m in range(bound):
         if not cp(n, m):
             return m
     return None
 
 
-def _exact_ef_atom(pred, f_for_bounds, x, y) -> int | None:
-    """Least exact witness n of an EF atom, or None."""
+def _exact_ef_atom(pred, x, y) -> int | None:
+    """Least exact witness n of the EF atom over pred, or None."""
     cp = compile_pred(pred, x.bit, y.bit)
-    mu, kappa, coeffs = _exact_profile(f_for_bounds)
-    big_l, period = _geometry(x, y)
-    coeff_lcm = math.lcm(*coeffs) if coeffs else 1
-    classical = (len(x.pre) + len(y.pre)) + period * coeff_lcm * 2
-    outer = max(classical, big_l + 3 * period + 2 * kappa + 2)
+    floor, mu, lift, outer = _exact_bounds(pred, x, y)
     for n in range(outer):
-        inner = max(big_l, mu * n + kappa + 1) + period
-        if all(cp(n, m) for m in range(inner)):
+        if all(cp(n, m) for m in range(max(floor, mu * n + lift))):
             return n
     return None
 
@@ -436,16 +427,15 @@ def _exact_ef_atom(pred, f_for_bounds, x, y) -> int | None:
 def exists_forall_witness(f, x, y) -> int | None:
     if not isinstance(f, ExistsForall):
         raise ConfigError("witness search needs a single EF atom")
-    return _exact_ef_atom(f.pred, f, x, y)
+    return _exact_ef_atom(f.pred, x, y)
 
 
 def eval_exact_ep(f, x, y) -> bool:
     """Exact two-level truth on eventually periodic words."""
     if isinstance(f, ExistsForall):
-        return _exact_ef_atom(f.pred, f, x, y) is not None
+        return _exact_ef_atom(f.pred, x, y) is not None
     if isinstance(f, ForallExists):
-        flipped = ExistsForall(Not(f.pred))
-        return _exact_ef_atom(flipped.pred, flipped, x, y) is None
+        return _exact_ef_atom(Not(f.pred), x, y) is None
     if isinstance(f, FAnd):
         return eval_exact_ep(f.left, x, y) and eval_exact_ep(f.right, x, y)
     if isinstance(f, FOr):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import formulas, words
+from . import words
 from .errors import ConfigError, ContractViolation
 from .formulas import ExistsForall, compile_pred, parse_formula, parse_formulas, pred_sides, use_bound
 from .words import Word
@@ -36,12 +36,6 @@ __all__ = [
     "CyclingLearner",
     "ConstantLearner",
     "RecentOnesLearner",
-    "synth_from_code",
-    "separator_learner",
-    "countable_class_learner",
-    "bc_to_ex",
-    "transport_learner",
-    "cycling_bc_learner",
     "learner_from_string",
 ]
 
@@ -424,33 +418,6 @@ class RecentOnesLearner(Learner):
             return state, 0
         ones = sum(view.target_bit(i) for i in range(stage))
         return state, 1 + ones
-
-
-# ------------------------------------------------------- construction names
-
-
-def synth_from_code(code, informant: Informant) -> SynthLearner:
-    return SynthLearner(code, informant)
-
-
-def separator_learner(set_codes) -> SeparatorLearner:
-    return SeparatorLearner(set_codes)
-
-
-def countable_class_learner(rows) -> CountableClassLearner:
-    return CountableClassLearner(rows)
-
-
-def bc_to_ex(bc: Learner, classes: ClassIndexSets) -> BcToExLearner:
-    return BcToExLearner(bc, classes)
-
-
-def transport_learner(base: Learner, reduction: Reduction) -> TransportLearner:
-    return TransportLearner(base, reduction)
-
-
-def cycling_bc_learner(classes: ClassIndexSets, true_class: int) -> CyclingLearner:
-    return CyclingLearner(classes, true_class)
 
 
 _REDUCTIONS = {

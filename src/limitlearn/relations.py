@@ -29,7 +29,6 @@ __all__ = [
     "CATALOG_NAMES",
     "catalog_rows",
     "make_relation",
-    "oracle_decide",
     "tree_is_wellfounded",
     "branch_word",
     "parse_tree_file",
@@ -61,10 +60,6 @@ class RelationSpec:
     learnable: str
     summary: str
     params: object | None = None
-
-
-def oracle_decide(r: RelationSpec, x: Word, y: Word) -> bool:
-    return r.decide(x, y)
 
 
 # ------------------------------------------------------------------- trees

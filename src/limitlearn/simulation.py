@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, UseViolation
+from .errors import ConfigError, ContractViolation, UseViolation
 from .formulas import eval_exact_ep, exact_inner_bound, least_refutation
 from .learners import Informant, Learner, SynthLearner, cantor_unpair
 from .words import Word
@@ -111,8 +111,9 @@ def run_session(learner: Learner, target: Word, informant: Informant, horizon: i
                          informant_overrides)
         state, hyp = learner.step(state, stage, view)
         pointer = learner.pointer_of(state)
-        if pointer is not None and last_pointer is not None:
-            assert pointer >= last_pointer, "synthesizer pointer must not retreat"
+        if pointer is not None and last_pointer is not None and pointer < last_pointer:
+            raise ContractViolation(
+                f"stage {stage}: pointer retreated from {last_pointer} to {pointer}")
         last_pointer = pointer
         hyps.append(hyp)
         pointers.append(pointer)
@@ -120,14 +121,14 @@ def run_session(learner: Learner, target: Word, informant: Informant, horizon: i
     return SessionTrace(target, informant, tuple(hyps), tuple(pointers), tuple(reads))
 
 
-def summarize(trace: SessionTrace, relation, target: Word, informant: Informant,
+def summarize(trace: SessionTrace, relation,
               certificate: ConvergenceCertificate | None = None) -> SessionReport:
     hyps = trace.hypotheses
     horizon = trace.horizon
 
     def correct(h: int) -> bool:
-        w = informant.word(h)
-        return w is not None and relation.decide(target, w)
+        w = trace.informant.word(h)
+        return w is not None and relation.decide(trace.target, w)
 
     changes = [s for s in range(1, len(hyps)) if hyps[s] != hyps[s - 1]]
     mind_changes = len(changes)
@@ -143,8 +144,7 @@ def summarize(trace: SessionTrace, relation, target: Word, informant: Informant,
     return SessionReport(mind_changes, last_change, ex_correct, bc_start, certificate)
 
 
-def certify_convergence(learner: Learner, target: Word,
-                        informant: Informant | None = None) -> ConvergenceCertificate | None:
+def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificate | None:
     """Exact convergence certificate for a synthesized learner, or None.
 
     Walks the pair enumeration the synthesizer's pointer walks, but with
@@ -154,7 +154,7 @@ def certify_convergence(learner: Learner, target: Word,
     """
     if not isinstance(learner, SynthLearner):
         raise ConfigError("certification needs a synthesized learner")
-    informant = informant if informant is not None else learner.informant
+    informant = learner.informant
     if not informant.is_explicit:
         raise ConfigError("certification needs an explicit informant")
     ws = informant.explicit_words()

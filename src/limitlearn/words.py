@@ -16,7 +16,6 @@ from .errors import ConfigError
 __all__ = [
     "Word",
     "PrincipalForm",
-    "canonicalize",
     "parse_word",
     "from_bits",
     "split_even_odd",
@@ -60,6 +59,8 @@ class Word:
 
     def bit(self, i: int) -> int:
         if i < len(self.pre):
+            if i < 0:
+                raise ConfigError(f"negative bit position {i}")
             return int(self.pre[i])
         return int(self.per[(i - len(self.pre)) % len(self.per)])
 
@@ -80,10 +81,6 @@ class Word:
 
     def __repr__(self):
         return f"Word({self.literal!r})"
-
-
-def canonicalize(pre: str, per: str) -> Word:
-    return Word(pre, per)
 
 
 def parse_word(text: str) -> Word:

@@ -33,7 +33,6 @@ from limitlearn.relations import (
     branch_word,
     e0_code,
     make_relation,
-    oracle_decide,
     oscillation_display_holds,
 )
 from limitlearn.sampling import flip_finitely, random_osc_pair, related_case, unrelated_case
@@ -88,14 +87,14 @@ def _build_crit1():
             assert cert is not None, f"{name} case {i}: no certificate"
             limit_word = informant.word(cert.limit_index)
             assert limit_word is not None
-            assert oracle_decide(rel, target, limit_word), f"{name} case {i}: limit unrelated"
+            assert rel.decide(target, limit_word), f"{name} case {i}: limit unrelated"
             stab = cert.stabilization_stage
             horizon = max(stab + 4, 8)
             trace = run_session(learner, target, informant, horizon)
             assert all(h == cert.limit_index for h in trace.hypotheses[stab:])
             doubled = run_session(learner, target, informant, 2 * horizon)
             assert all(h == cert.limit_index for h in doubled.hypotheses[stab:])
-            report = summarize(trace, rel, target, informant, cert)
+            report = summarize(trace, rel, cert)
             assert report.ex_correct_at_horizon
             records.append(
                 f"c1 relation={name} case={i} target={target.literal} "
@@ -162,14 +161,14 @@ def _build_crit3():
         all_words = tuple(ws) + (flip_finitely(rng, target),)
         informant = Informant.explicit(list(all_words))
         classes = class_index_sets(rel, all_words)
-        true_class = next(j for j, w in enumerate(all_words) if oracle_decide(rel, target, w))
+        true_class = next(j for j, w in enumerate(all_words) if rel.decide(target, w))
         block = sorted(classes.e(true_class))
         assert len(block) >= 2
         converted = BcToExLearner(CyclingLearner(classes, true_class), classes)
         trace = run_session(converted, target, informant, 12)
         low = min(block)
         assert set(trace.hypotheses) == {low}, f"case {i}: {trace.hypotheses}"
-        report = summarize(trace, rel, target, informant)
+        report = summarize(trace, rel)
         assert report.mind_changes == 0 and report.ex_correct_at_horizon
         records.append(
             f"c3 case={i} target={target.literal} block={','.join(map(str, block))} "
@@ -198,14 +197,14 @@ def _build_crit4():
     for name in ("id", "e0"):
         rel = make_relation(name)
         disagree = sum(1 for x in pool for y in pool
-                       if eval_exact_ep(rel.code, x, y) != oracle_decide(rel, x, y))
+                       if eval_exact_ep(rel.code, x, y) != rel.decide(x, y))
         assert disagree == 0, f"{name}: {disagree} disagreements"
         records.append(f"c4 relation={name} pairs={len(pool) ** 2} disagreements=0")
     osc = make_relation("oscillation")
     rng = random.Random(ACCEPT_SEED)
     for i in range(500):
         x, y = random_osc_pair(rng)
-        exact = oracle_decide(osc, x, y)
+        exact = osc.decide(x, y)
         display = oscillation_display_holds(x, y)
         assert exact == display, f"osc case {i}: {x.literal} {y.literal}"
         records.append(
@@ -241,7 +240,7 @@ def _build_crit5():
             assert len(run.mind_change_stages) >= 10
         else:
             assert run.witness is not None and not run.witness.is_inf
-            assert not oracle_decide(rel, run.witness, one_rep)
+            assert not rel.decide(run.witness, one_rep)
         records.append(f"c5 learner={name} {format_adversary_record(run)}")
     return records
 
@@ -355,7 +354,7 @@ def _build_crit8():
     records = []
     for z in enumerate_words(4):
         run = bc_class_membership_procedure(bc, rel, y, b, z, horizon=64)
-        expect = oracle_decide(rel, y, z)
+        expect = rel.decide(y, z)
         assert run.limit_zero == expect, f"z={z.literal}"
         records.append(
             f"c8 z={z.literal} flag={str(run.limit_zero).lower()} "

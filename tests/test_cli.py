@@ -206,10 +206,11 @@ def test_config_errors_exit_2(capsys, workdir, tmp_path):
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):
-    (tmp_path / "bad.cfg").write_text("wibble = 3\n")
-    code, _, err = run_cli(capsys, "catalog", "--config", str(tmp_path / "bad.cfg"))
-    assert code == 2
-    assert "unknown key" in err
+    for line in ("wibble = 3\n", "depth = 4\n"):
+        (tmp_path / "bad.cfg").write_text(line)
+        code, _, err = run_cli(capsys, "catalog", "--config", str(tmp_path / "bad.cfg"))
+        assert code == 2, line
+        assert "unknown key" in err, line
 
 
 def test_contract_violation_exits_3(capsys):
@@ -228,6 +229,9 @@ def test_argparse_rejects_unknown_commands():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--depth", "4"])
+    assert exc.value.code == 2
 
 
 # ------------------------------------------------------------ config parser

@@ -36,7 +36,6 @@ from limitlearn.formulas import (
     exact_inner_bound,
     exact_outer_bound,
     exists_forall_witness,
-    forall_m_holds,
     format_formula,
     formula_size,
     least_refutation,
@@ -223,6 +222,27 @@ def test_exact_agrees_with_bounded_in_the_sound_directions(x, y):
         assert bounded.witness > outer
 
 
+@settings(max_examples=1000, deadline=None)
+@given(preds, words, words, st.booleans())
+def test_exact_witness_matches_a_wider_brute_force_scan(p, x, y, fe):
+    """Scan n < 3*outer and m < 3*inner(n) with eval_pred.  The first n that
+    survives that scan is the exact witness: a brute-force witness never comes
+    before it, and it holds over the whole scan.  An FE code is exactly the
+    negation of the EF code over the negated predicate."""
+    pred = Not(p) if fe else p
+    ef = ExistsForall(pred)
+    witness = exists_forall_witness(ef, x, y)
+
+    def survives(n):
+        scan = 3 * exact_inner_bound(ef, x, y, n)
+        return all(eval_pred(pred, x, y, n, m) for m in range(scan))
+
+    first = next((n for n in range(3 * exact_outer_bound(ef, x, y)) if survives(n)), None)
+    assert first == witness
+    code = ForallExists(p) if fe else ExistsForall(p)
+    assert eval_exact_ep(code, x, y) == ((first is None) if fe else (first is not None))
+
+
 def test_exact_refutations_are_concrete():
     x, y = Word("1", "0"), Word("", "0")
     pred = e0_code().pred
@@ -231,7 +251,7 @@ def test_exact_refutations_are_concrete():
         m = least_refutation(pred, x, y, n, exact_inner_bound(pred, x, y, n))
         assert m is not None
         assert eval_pred(pred, x, y, n, m) is False
-    assert forall_m_holds(pred, x, y, n_star, exact_inner_bound(pred, x, y, n_star))
+    assert least_refutation(pred, x, y, n_star, exact_inner_bound(pred, x, y, n_star)) is None
 
 
 def test_exact_rejects_unsupported_atoms():

@@ -20,7 +20,6 @@ from limitlearn.relations import (
     e0_code,
     id_code,
     make_relation,
-    oracle_decide,
     oscillation_display_holds,
     parse_tree_file,
     tree_is_wellfounded,
@@ -58,7 +57,7 @@ def test_catalog_codes():
     assert rel("id").code == id_code()
     assert rel("e0").code == e0_code()
     assert rel("sim0").code is None
-    assert oracle_decide(rel("id"), W("1|0"), W("1|0"))
+    assert rel("id").decide(W("1|0"), W("1|0"))
 
 
 # ------------------------------------------------------------------ oracles

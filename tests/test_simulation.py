@@ -117,7 +117,7 @@ def test_run_session_asserts_pointer_monotonicity():
         def step(self, state, stage, view):
             return state + 1, 0
 
-    with pytest.raises(AssertionError):
+    with pytest.raises(ContractViolation):
         run_session(Retreater(), W("|0"), Informant.explicit([W("|0")]), 2)
 
 
@@ -127,14 +127,14 @@ def test_reference_summary():
     learner, target, informant = reference_setup()
     trace = run_session(learner, target, informant, 8)
     cert = certify_convergence(learner, target)
-    report = summarize(trace, E0, target, informant, cert)
+    report = summarize(trace, E0, cert)
     assert report == SessionReport(2, 4, True, 4, cert)
 
 
 def test_out_of_range_hypotheses_read_as_incorrect():
     informant = Informant.explicit([W("|0")])
     trace = run_session(ConstantLearner(5), W("|0"), informant, 4)
-    report = summarize(trace, E0, W("|0"), informant)
+    report = summarize(trace, E0)
     assert report.mind_changes == 0
     assert report.last_change_stage == 0
     assert not report.ex_correct_at_horizon
@@ -146,7 +146,7 @@ def test_bc_without_ex_convergence():
     informant = Informant.explicit([W("|0"), W("1|0")])
     classes = class_index_sets(E0, informant.explicit_words())
     trace = run_session(CyclingLearner(classes, 0), W("|0"), informant, 5)
-    report = summarize(trace, E0, W("|0"), informant)
+    report = summarize(trace, E0)
     assert trace.hypotheses == (0, 1, 0, 1, 0, 1)
     assert report.mind_changes == 5
     assert not report.ex_correct_at_horizon  # the change at the horizon spoils EX
@@ -243,7 +243,7 @@ def test_record_formats():
     learner, target, informant = reference_setup()
     trace = run_session(learner, target, informant, 8)
     cert = certify_convergence(learner, target)
-    report = summarize(trace, E0, target, informant, cert)
+    report = summarize(trace, E0, cert)
     assert format_summary_record(report) == (
         "summary mindChanges=2 lastChangeStage=4 exCorrectAtHorizon=true "
         "bcCorrectSuffixStart=4 certified=1"

@@ -68,6 +68,14 @@ def test_literal_and_parse():
             parse_word(bad)
 
 
+def test_bit_rejects_negative_positions():
+    for w in (parse_word("01|0"), parse_word("|1"), Word("110", "01")):
+        with pytest.raises(ConfigError):
+            w.bit(-1)
+    with pytest.raises(ConfigError):
+        Word("01", "0").bit(-3)
+
+
 def test_invalid_construction():
     with pytest.raises(ConfigError):
         Word("01", "")
