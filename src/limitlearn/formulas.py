@@ -8,7 +8,7 @@ makes two-level truth decidable on eventually periodic words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, UnsupportedAtomError
 
@@ -72,14 +72,18 @@ def const_term(c: int) -> IndexTerm:
     return IndexTerm(0, 0, c)
 
 
+def _check_side(side):
+    if side not in ("x", "y"):
+        raise ConfigError(f"side must be x or y, got {side!r}")
+
+
 @dataclass(frozen=True)
 class BitOf:
     side: str
     term: IndexTerm
 
     def __post_init__(self):
-        if self.side not in ("x", "y"):
-            raise ConfigError(f"bit side must be x or y, got {self.side!r}")
+        _check_side(self.side)
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,7 @@ class CountLe:
     bound: IndexTerm
 
     def __post_init__(self):
-        if self.side not in ("x", "y"):
-            raise ConfigError(f"count side must be x or y, got {self.side!r}")
+        _check_side(self.side)
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,36 @@ class FAnd:
 class FOr:
     left: object
     right: object
+
+
+# The grammar of the code language: each AST class with its text head and the
+# kinds of its fields, p predicate, f formula, s side, t index term.  The two
+# levels have separate tables because the heads and, or name a node at both.
+_PRED_FORMS = {
+    Not: ("not", "p"),
+    And: ("and", "pp"),
+    Or: ("or", "pp"),
+    BitOf: ("bit", "st"),
+    BitEq: ("eq", "tt"),
+    Le: ("le", "tt"),
+    CountLe: ("cntle", "sttt"),
+}
+_FORMULA_FORMS = {
+    ExistsForall: ("ef", "p"),
+    ForallExists: ("fe", "p"),
+    FAnd: ("and", "ff"),
+    FOr: ("or", "ff"),
+}
+_LEVELS = {"p": (_PRED_FORMS, "predicate"), "f": (_FORMULA_FORMS, "formula")}
+
+
+def _form(node, kind: str):
+    """Head and (field kind, value) pairs of a node of kind p or f."""
+    forms, what = _LEVELS[kind]
+    if type(node) not in forms:
+        raise ConfigError(f"not a {what} node: {node!r}")
+    head, kinds = forms[type(node)]
+    return head, zip(kinds, [getattr(node, f.name) for f in fields(node)])
 
 
 # ---------------------------------------------------------------- predicates
@@ -226,11 +259,14 @@ def compile_pred(p, xbit, ybit):
 
 
 def _atoms(node):
+    """Atoms of a predicate or formula tree, left to right."""
     if isinstance(node, Not):
         yield from _atoms(node.inner)
-    elif isinstance(node, (And, Or)):
+    elif isinstance(node, (And, Or, FAnd, FOr)):
         yield from _atoms(node.left)
         yield from _atoms(node.right)
+    elif isinstance(node, (ExistsForall, ForallExists)):
+        yield from _atoms(node.pred)
     else:
         yield node
 
@@ -250,12 +286,10 @@ def _terms_of(atom):
 def pred_sides(p) -> set[str]:
     sides = set()
     for atom in _atoms(p):
-        if isinstance(atom, BitOf):
-            sides.add(atom.side)
-        elif isinstance(atom, BitEq):
-            sides.update(("x", "y"))
-        elif isinstance(atom, CountLe):
-            sides.add(atom.side)
+        if isinstance(atom, BitEq):
+            sides.update("xy")
+        else:
+            sides.update(v for kind, v in _form(atom, "p")[1] if kind == "s")
     return sides
 
 
@@ -285,33 +319,11 @@ class ThreeValued:
         return self.kind == "CONFIRMED"
 
 
-def _formula_preds(f):
-    if isinstance(f, (Not, And, Or, BitOf, BitEq, Le, CountLe)):
-        yield f
-    elif isinstance(f, (ExistsForall, ForallExists)):
-        yield f.pred
-    elif isinstance(f, (FAnd, FOr)):
-        yield from _formula_preds(f.left)
-        yield from _formula_preds(f.right)
-    else:
-        raise ConfigError(f"not a formula node: {f!r}")
-
-
 def formula_size(f) -> int:
     """Node count over the formula tree and every predicate AST (terms free)."""
-    if isinstance(f, (FAnd, FOr)):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    if isinstance(f, (ExistsForall, ForallExists)):
-        return 1 + _pred_size(f.pred)
-    raise ConfigError(f"not a formula node: {f!r}")
-
-
-def _pred_size(p) -> int:
-    if isinstance(p, Not):
-        return 1 + _pred_size(p.inner)
-    if isinstance(p, (And, Or)):
-        return 1 + _pred_size(p.left) + _pred_size(p.right)
-    return 1
+    def size(node, kind):
+        return 1 + sum(size(v, k) for k, v in _form(node, kind)[1] if k in "pf")
+    return size(f, "f")
 
 
 def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
@@ -365,20 +377,19 @@ def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
 def _exact_profile(f):
     mu = kappa = 0
     coeffs = []
-    for pred in _formula_preds(f):
-        for atom in _atoms(pred):
-            if isinstance(atom, CountLe):
+    for atom in _atoms(f):
+        if isinstance(atom, CountLe):
+            raise UnsupportedAtomError(
+                "CountLe atoms have no periodicity threshold; use the relation's oracle"
+            )
+        for t in _terms_of(atom):
+            if t.coeff_n > 1 or t.coeff_m > 1:
                 raise UnsupportedAtomError(
-                    "CountLe atoms have no periodicity threshold; use the relation's oracle"
+                    "exact evaluation requires index coefficients 0 or 1"
                 )
-            for t in _terms_of(atom):
-                if t.coeff_n > 1 or t.coeff_m > 1:
-                    raise UnsupportedAtomError(
-                        "exact evaluation requires index coefficients 0 or 1"
-                    )
-                mu = max(mu, t.coeff_n)
-                kappa = max(kappa, t.constant)
-                coeffs.extend(c for c in (t.coeff_n, t.coeff_m) if c)
+            mu = max(mu, t.coeff_n)
+            kappa = max(kappa, t.constant)
+            coeffs.extend(c for c in (t.coeff_n, t.coeff_m) if c)
     return mu, kappa, coeffs
 
 
@@ -406,9 +417,10 @@ def exact_outer_bound(f, x, y) -> int:
     return _exact_bounds(f, x, y)[3]
 
 
-def least_refutation(pred, x, y, n: int, bound: int) -> int | None:
+def least_refutation(pred, x, y, n: int) -> int | None:
+    """Least m at which pred fails at outer value n, or None if it holds for all m."""
     cp = compile_pred(pred, x.bit, y.bit)
-    for m in range(bound):
+    for m in range(exact_inner_bound(pred, x, y, n)):
         if not cp(n, m):
             return m
     return None
@@ -445,6 +457,8 @@ def eval_exact_ep(f, x, y) -> bool:
 
 # ------------------------------------------------------------- text format
 
+_MAX_NESTING = 64  # catalog codes nest 4 deep; far deeper text exhausts the stack
+
 
 def _tokenize(text: str):
     clean = []
@@ -454,15 +468,17 @@ def _tokenize(text: str):
     return "\n".join(clean).replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _read_sexp(tokens, pos):
+def _read_sexp(tokens, pos, depth=0):
     if pos >= len(tokens):
         raise ConfigError("unexpected end of formula text")
     tok = tokens[pos]
     if tok == "(":
+        if depth == _MAX_NESTING:
+            raise ConfigError(f"formula text nests deeper than {_MAX_NESTING} parentheses")
         items = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read_sexp(tokens, pos)
+            item, pos = _read_sexp(tokens, pos, depth + 1)
             items.append(item)
         if pos >= len(tokens):
             raise ConfigError("unbalanced '(' in formula text")
@@ -482,50 +498,21 @@ def _nat(tok) -> int:
     return v
 
 
-def _term_of_sexp(sx) -> IndexTerm:
-    if not (isinstance(sx, list) and len(sx) == 4 and sx[0] == "ix"):
-        raise ConfigError(f"expected (ix cN cM c), got {sx!r}")
-    return IndexTerm(_nat(sx[1]), _nat(sx[2]), _nat(sx[3]))
-
-
-def _pred_of_sexp(sx):
+def _node_of_sexp(sx, kind: str):
+    """The field of the given kind that the s-expression sx writes."""
+    if kind == "s":
+        return sx  # BitOf and CountLe reject anything but x or y
+    if kind == "t":
+        if not (isinstance(sx, list) and len(sx) == 4 and sx[0] == "ix"):
+            raise ConfigError(f"expected (ix cN cM c), got {sx!r}")
+        return IndexTerm(*map(_nat, sx[1:]))
+    forms, what = _LEVELS[kind]
     if not isinstance(sx, list) or not sx:
-        raise ConfigError(f"expected a predicate form, got {sx!r}")
-    head = sx[0]
-    if head == "and" and len(sx) == 3:
-        return And(_pred_of_sexp(sx[1]), _pred_of_sexp(sx[2]))
-    if head == "or" and len(sx) == 3:
-        return Or(_pred_of_sexp(sx[1]), _pred_of_sexp(sx[2]))
-    if head == "not" and len(sx) == 2:
-        return Not(_pred_of_sexp(sx[1]))
-    if head == "bit" and len(sx) == 3:
-        if sx[1] not in ("x", "y"):
-            raise ConfigError(f"(bit ...) side must be x or y, got {sx[1]!r}")
-        return BitOf(sx[1], _term_of_sexp(sx[2]))
-    if head == "eq" and len(sx) == 3:
-        return BitEq(_term_of_sexp(sx[1]), _term_of_sexp(sx[2]))
-    if head == "le" and len(sx) == 3:
-        return Le(_term_of_sexp(sx[1]), _term_of_sexp(sx[2]))
-    if head == "cntle" and len(sx) == 5:
-        if sx[1] not in ("x", "y"):
-            raise ConfigError(f"(cntle ...) side must be x or y, got {sx[1]!r}")
-        return CountLe(sx[1], _term_of_sexp(sx[2]), _term_of_sexp(sx[3]), _term_of_sexp(sx[4]))
-    raise ConfigError(f"unknown predicate form: {sx!r}")
-
-
-def _formula_of_sexp(sx):
-    if not isinstance(sx, list) or not sx:
-        raise ConfigError(f"expected a formula form, got {sx!r}")
-    head = sx[0]
-    if head == "ef" and len(sx) == 2:
-        return ExistsForall(_pred_of_sexp(sx[1]))
-    if head == "fe" and len(sx) == 2:
-        return ForallExists(_pred_of_sexp(sx[1]))
-    if head == "and" and len(sx) == 3:
-        return FAnd(_formula_of_sexp(sx[1]), _formula_of_sexp(sx[2]))
-    if head == "or" and len(sx) == 3:
-        return FOr(_formula_of_sexp(sx[1]), _formula_of_sexp(sx[2]))
-    raise ConfigError(f"unknown formula form: {sx!r}")
+        raise ConfigError(f"expected a {what} form, got {sx!r}")
+    for cls, (head, kinds) in forms.items():
+        if sx[0] == head and len(sx) == 1 + len(kinds):
+            return cls(*map(_node_of_sexp, sx[1:], kinds))
+    raise ConfigError(f"unknown {what} form: {sx!r}")
 
 
 def parse_formulas(text: str) -> list:
@@ -533,7 +520,7 @@ def parse_formulas(text: str) -> list:
     out, pos = [], 0
     while pos < len(tokens):
         sx, pos = _read_sexp(tokens, pos)
-        out.append(_formula_of_sexp(sx))
+        out.append(_node_of_sexp(sx, "f"))
     if not out:
         raise ConfigError("no formula found in text")
     return out
@@ -546,35 +533,15 @@ def parse_formula(text: str):
     return forms[0]
 
 
-def _term_text(t: IndexTerm) -> str:
-    return f"(ix {t.coeff_n} {t.coeff_m} {t.constant})"
-
-
-def _pred_text(p) -> str:
-    if isinstance(p, And):
-        return f"(and {_pred_text(p.left)} {_pred_text(p.right)})"
-    if isinstance(p, Or):
-        return f"(or {_pred_text(p.left)} {_pred_text(p.right)})"
-    if isinstance(p, Not):
-        return f"(not {_pred_text(p.inner)})"
-    if isinstance(p, BitOf):
-        return f"(bit {p.side} {_term_text(p.term)})"
-    if isinstance(p, BitEq):
-        return f"(eq {_term_text(p.term_x)} {_term_text(p.term_y)})"
-    if isinstance(p, Le):
-        return f"(le {_term_text(p.lhs)} {_term_text(p.rhs)})"
-    if isinstance(p, CountLe):
-        return f"(cntle {p.side} {_term_text(p.lo)} {_term_text(p.hi)} {_term_text(p.bound)})"
-    raise ConfigError(f"not a predicate node: {p!r}")
+def _text(node, kind: str) -> str:
+    """Text of a field of the given kind; the inverse of _node_of_sexp."""
+    if kind == "s":
+        return node
+    if kind == "t":
+        return f"(ix {node.coeff_n} {node.coeff_m} {node.constant})"
+    head, parts = _form(node, kind)
+    return "(" + " ".join([head] + [_text(v, k) for k, v in parts]) + ")"
 
 
 def format_formula(f) -> str:
-    if isinstance(f, ExistsForall):
-        return f"(ef {_pred_text(f.pred)})"
-    if isinstance(f, ForallExists):
-        return f"(fe {_pred_text(f.pred)})"
-    if isinstance(f, FAnd):
-        return f"(and {format_formula(f.left)} {format_formula(f.right)})"
-    if isinstance(f, FOr):
-        return f"(or {format_formula(f.left)} {format_formula(f.right)})"
-    raise ConfigError(f"not a formula node: {f!r}")
+    return _text(f, "f")

@@ -72,12 +72,8 @@ class Informant:
         return Informant(fn=fn)
 
     @staticmethod
-    def finite_support(start: int = 0) -> "Informant":
-        return Informant(fn=lambda j: words.finite_support_word(start + j))
-
-    @staticmethod
-    def prefixed(bit: int, inner: "Informant") -> "Informant":
-        return Informant(fn=lambda j: words.prefix_with(bit, inner.word(j)))
+    def finite_support() -> "Informant":
+        return Informant(fn=words.finite_support_word)
 
     @property
     def size(self) -> int | None:

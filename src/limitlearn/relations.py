@@ -283,7 +283,7 @@ def e0_code():
 _CATALOG = {
     "id": ("YES", "equality of sequences", _decide_id, id_code),
     "e0": ("YES", "eventual equality of tails", _decide_e0, e0_code),
-    "oscillation": ("YES", "mutually bounded one-counts over zero blocks", None, None),
+    "oscillation": ("YES", "mutually bounded one-counts over zero blocks", _decide_sim1, None),
     "sim0": ("NO", "both infinite support, or equal", _decide_sim0, None),
     "sim1": ("NO", "same side of the infinite-support divide", _decide_sim1, None),
     "sim3": ("NO", "equal, or both infinite and equal past position 0", _decide_sim3, None),
@@ -309,6 +309,4 @@ def make_relation(name: str, params: TreeSpec | None = None) -> RelationSpec:
         return RelationSpec("tree", None, _tree_decider(params), learnable, summary, params)
     if params is not None:
         raise ConfigError(f"relation {name!r} takes no tree parameter")
-    if name == "oscillation":
-        decide = _decide_sim1
     return RelationSpec(name, code_fn() if code_fn else None, decide, learnable, summary)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError, ContractViolation, UseViolation
-from .formulas import eval_exact_ep, exact_inner_bound, least_refutation
+from .formulas import eval_exact_ep, least_refutation
 from .learners import Informant, Learner, SynthLearner, cantor_unpair
 from .words import Word
 
@@ -172,8 +172,7 @@ def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificat
             refutations.append((a, b, None))
             k += 1
             continue
-        bound = exact_inner_bound(pred, target, ws[a], b)
-        m = least_refutation(pred, target, ws[a], b, bound)
+        m = least_refutation(pred, target, ws[a], b)
         if m is None:
             surviving = (a, b)
             break
@@ -193,8 +192,8 @@ def use_principle_check(learner: Learner, cert: ConvergenceCertificate,
     in all 2^free_bits completions.  The queried-bit record comes from the
     trace; only bits below the stabilization stage's use bound can matter.
     """
-    if free_bits > 12:
-        raise ConfigError(f"freeBits {free_bits} exceeds the exhaustive budget 12")
+    if not 0 <= free_bits <= 12:
+        raise ConfigError(f"freeBits {free_bits} outside the exhaustive budget [0, 12]")
     informant = trace.informant
     if not informant.is_explicit:
         raise ConfigError("use principle check needs an explicit informant")

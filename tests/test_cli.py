@@ -183,6 +183,8 @@ def test_wrong_code_disagrees_with_exit_4(capsys, workdir):
 
 
 def test_config_errors_exit_2(capsys, workdir, tmp_path):
+    deep = workdir / "deep.s2f"
+    deep.write_text("(ef " + "(not " * 1000 + "(bit x (ix 1 0 0))" + ")" * 1001 + "\n")
     cases = [
         ("crosscheck", "--relation", "sim0", "--samples", "5"),           # no code
         ("crosscheck", "--relation", "oscillation", "--samples", "5",
@@ -198,6 +200,8 @@ def test_config_errors_exit_2(capsys, workdir, tmp_path):
         ("simulate", "--relation", "e0", "--target", "|0", "--informant", "|0",
          "--learner", "constant:0", "--horizon", "0"),                    # bad horizon
         ("adversary", "--relation", "e0", "--learner", "constant:0"),     # wrong relation
+        ("falsify", "--relation", "e0", "--code", str(deep),
+         "--max-size", "1"),                                              # nested too deep
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

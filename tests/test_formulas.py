@@ -108,15 +108,21 @@ atoms = st.one_of(
     st.builds(BitEq, small_terms, small_terms),
     st.builds(Le, small_terms, small_terms),
 )
-preds = st.recursive(
-    atoms,
-    lambda inner: st.one_of(
-        st.builds(Not, inner),
-        st.builds(And, inner, inner),
-        st.builds(Or, inner, inner),
-    ),
-    max_leaves=6,
-)
+
+
+def pred_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Not, inner),
+            st.builds(And, inner, inner),
+            st.builds(Or, inner, inner),
+        ),
+        max_leaves=6,
+    )
+
+
+preds = pred_trees(atoms)
 
 
 @given(preds, words, words, st.integers(0, 6), st.integers(0, 6))
@@ -248,10 +254,10 @@ def test_exact_refutations_are_concrete():
     pred = e0_code().pred
     n_star = exists_forall_witness(e0_code(), x, y)
     for n in range(n_star):
-        m = least_refutation(pred, x, y, n, exact_inner_bound(pred, x, y, n))
+        m = least_refutation(pred, x, y, n)
         assert m is not None
         assert eval_pred(pred, x, y, n, m) is False
-    assert least_refutation(pred, x, y, n_star, exact_inner_bound(pred, x, y, n_star)) is None
+    assert least_refutation(pred, x, y, n_star) is None
 
 
 def test_exact_rejects_unsupported_atoms():
@@ -311,6 +317,7 @@ def test_parse_errors():
         "(ef (eq (ix 0 1 0) (ix 0 1 0))))",
         "(ef (eq (ix a 1 0) (ix 0 1 0)))",
         "(ef (le (ix 0 1 0) (ix 0 1 0) (ix 0 1 0)))",
+        "(ef " + "(not " * 1000 + "(bit x (ix 1 0 0))" + ")" * 1001,
     ):
         with pytest.raises(ConfigError):
             parse_formula(bad)
@@ -321,8 +328,16 @@ def test_parse_formula_rejects_two_formulas():
         parse_formula("(ef (bit x (ix 1 0 0))) (ef (bit y (ix 1 0 0)))")
 
 
+code_preds = pred_trees(st.one_of(
+    atoms, st.builds(CountLe, st.sampled_from("xy"), small_terms, small_terms, small_terms)))
+codes = st.recursive(
+    st.one_of(st.builds(ExistsForall, code_preds), st.builds(ForallExists, code_preds)),
+    lambda inner: st.one_of(st.builds(FAnd, inner, inner), st.builds(FOr, inner, inner)),
+    max_leaves=4,
+)
+
+
 @settings(max_examples=40)
-@given(preds)
-def test_pred_syntax_round_trip(p):
-    wrapped = ExistsForall(p)
-    assert parse_formula(format_formula(wrapped)) == wrapped
+@given(codes)
+def test_pred_syntax_round_trip(f):
+    assert parse_formula(format_formula(f)) == f

@@ -108,10 +108,6 @@ def test_informant_generators():
     assert inf.word(2) == W("01|0")
     with pytest.raises(ConfigError):
         inf.explicit_words()
-    shifted = Informant.finite_support(start=2)
-    assert shifted.word(0) == W("01|0")
-    pref = Informant.prefixed(1, Informant.finite_support())
-    assert pref.word(0) == W("1|0")
 
 
 def test_informant_caches_its_function():

@@ -219,8 +219,9 @@ def test_use_principle_budget_and_horizon_guards():
     learner, target, informant = reference_setup()
     cert = certify_convergence(learner, target)
     trace = run_session(learner, target, informant, 8)
-    with pytest.raises(ConfigError):
-        use_principle_check(learner, cert, trace, 13)
+    for free_bits in (13, -1):
+        with pytest.raises(ConfigError):
+            use_principle_check(learner, cert, trace, free_bits)
     short = run_session(learner, target, informant, 2)
     with pytest.raises(ConfigError):
         use_principle_check(learner, cert, short, 4)
