@@ -217,6 +217,8 @@ def _cmd_adversary(cfg: ExperimentConfig, out) -> int:
 
 def _cmd_falsify(cfg: ExperimentConfig, out) -> int:
     relation = _relation_of(cfg)
+    if cfg.max_size < 1:
+        raise ConfigError("maxSize must be at least 1")
     if cfg.code is not None:
         codes = ((Path(cfg.code).stem, _read_code(cfg)),)
     else:
@@ -243,6 +245,8 @@ def _cmd_crosscheck(cfg: ExperimentConfig, out) -> int:
             raise ConfigError(f"relation {relation.name} has no exact code to crosscheck")
         def check(x, y, code=code):
             return eval_exact_ep(code, x, y)
+    if cfg.samples < 1:
+        raise ConfigError("samples must be at least 1")
     rng = random.Random(cfg.seed)
     for i in range(cfg.samples):
         x, y = crosscheck_pair(rng, relation)

@@ -372,6 +372,12 @@ def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
 # true EF formula has a witness below max(T, L + 3P + 2k + 2), where T is the
 # coarser classical bound (preperiod mass plus two coefficient-lcm periods).
 # Coefficients above 1 are rejected rather than risked.
+#
+# The inner scan decides every m at once, shift-and style (Baeza-Yates and
+# Gonnet, CACM 35(10), 1992): at outer value n the predicate is an int whose
+# bit m is its truth at (n, m).  A bit atom is a word's bit-int shifted right
+# by cN*n + c (all ones or none if cM = 0), an Le atom a low or high range of
+# m.  The universal holds iff all bits are set; the lowest zero bit refutes it.
 
 
 def _exact_profile(f):
@@ -417,21 +423,71 @@ def exact_outer_bound(f, x, y) -> int:
     return _exact_bounds(f, x, y)[3]
 
 
+def _bits(w, length: int) -> int:
+    """The int whose bit i is w.bit(i), for every i < length."""
+    s = w.pre + w.per * (max(length - len(w.pre), 0) // len(w.per) + 1)
+    return int(s[::-1], 2)
+
+
+def _term_mask(bits: int, t: IndexTerm):
+    """Mask closure of the bit atom reading bits at the 0/1-coefficient term t."""
+    cn, c = t.coeff_n, t.constant
+    if t.coeff_m:
+        return lambda n, full: bits >> (cn * n + c) & full
+    return lambda n, full: full if bits >> (cn * n + c) & 1 else 0
+
+
+def _compile_mask(p, xb: int, yb: int):
+    """Compile to a closure (n, full) -> int over the word bit-ints xb, yb,
+    whose bit m is the truth of p at (n, m) for each m below the width of full."""
+    if isinstance(p, BitOf):
+        return _term_mask(xb if p.side == "x" else yb, p.term)
+    if isinstance(p, BitEq):
+        f, g = _term_mask(xb, p.term_x), _term_mask(yb, p.term_y)
+        return lambda n, full: full ^ f(n, full) ^ g(n, full)
+    if isinstance(p, Le):
+        # lhs <= rhs iff d + slope*m >= 0, d being rhs - lhs at m = 0
+        l, r = p.lhs, p.rhs
+        dn, dc = r.coeff_n - l.coeff_n, r.constant - l.constant
+        slope = r.coeff_m - l.coeff_m
+        if slope == 0:
+            return lambda n, full: full if dn * n + dc >= 0 else 0
+        if slope < 0:  # the low range m <= d
+            return lambda n, full: full & ((1 << max(dn * n + dc + 1, 0)) - 1)
+        # the high range m >= -d: clear the k = max(-d, 0) low bits
+        return lambda n, full: full >> (k := max(-dn * n - dc, 0)) << k
+    if isinstance(p, Not):
+        f = _compile_mask(p.inner, xb, yb)
+        return lambda n, full: full ^ f(n, full)
+    if isinstance(p, And):
+        f, g = _compile_mask(p.left, xb, yb), _compile_mask(p.right, xb, yb)
+        return lambda n, full: f(n, full) & g(n, full)
+    if isinstance(p, Or):
+        f, g = _compile_mask(p.left, xb, yb), _compile_mask(p.right, xb, yb)
+        return lambda n, full: f(n, full) | g(n, full)
+    raise ConfigError(f"not a predicate node: {p!r}")
+
+
 def least_refutation(pred, x, y, n: int) -> int | None:
     """Least m at which pred fails at outer value n, or None if it holds for all m."""
-    cp = compile_pred(pred, x.bit, y.bit)
-    for m in range(exact_inner_bound(pred, x, y, n)):
-        if not cp(n, m):
-            return m
-    return None
+    if n < 0:
+        raise ConfigError(f"negative outer value {n}")
+    width = exact_inner_bound(pred, x, y, n)
+    length = n + width + COEFF_CAP
+    full = (1 << width) - 1
+    miss = full ^ _compile_mask(pred, _bits(x, length), _bits(y, length))(n, full)
+    return (miss & -miss).bit_length() - 1 if miss else None
 
 
 def _exact_ef_atom(pred, x, y) -> int | None:
     """Least exact witness n of the EF atom over pred, or None."""
-    cp = compile_pred(pred, x.bit, y.bit)
     floor, mu, lift, outer = _exact_bounds(pred, x, y)
+    # positions read at n < outer stay below n + width(n) + kappa
+    length = outer + max(floor, mu * outer + lift) + COEFF_CAP
+    mask = _compile_mask(pred, _bits(x, length), _bits(y, length))
     for n in range(outer):
-        if all(cp(n, m) for m in range(max(floor, mu * n + lift))):
+        full = (1 << max(floor, mu * n + lift)) - 1
+        if mask(n, full) == full:
             return n
     return None
 

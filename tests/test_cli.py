@@ -202,6 +202,9 @@ def test_config_errors_exit_2(capsys, workdir, tmp_path):
         ("adversary", "--relation", "e0", "--learner", "constant:0"),     # wrong relation
         ("falsify", "--relation", "e0", "--code", str(deep),
          "--max-size", "1"),                                              # nested too deep
+        ("falsify", "--relation", "e0", "--code", "e0.s2f",
+         "--config", str(workdir / "run.cfg"), "--max-size", "0"),        # no word pair
+        ("crosscheck", "--relation", "e0", "--samples", "0"),             # no sample
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limitlearn.adversary import enumerate_words
 from limitlearn.errors import ConfigError, UnsupportedAtomError
 from limitlearn.formulas import (
+    COEFF_CAP,
     And,
     BitEq,
     BitOf,
@@ -258,6 +260,34 @@ def test_exact_refutations_are_concrete():
         assert m is not None
         assert eval_pred(pred, x, y, n, m) is False
     assert least_refutation(pred, x, y, n_star) is None
+    # there is no outer value -1, whatever the code
+    for p in (pred, BitOf("x", IndexTerm(1, 0, 0))):
+        with pytest.raises(ConfigError):
+            least_refutation(p, x, y, -1)
+
+
+# le constants reach past the n part, so empty, partial and full ranges of m occur
+wide_terms = st.builds(
+    IndexTerm,
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=COEFF_CAP),
+)
+range_preds = pred_trees(st.one_of(
+    st.builds(BitOf, st.sampled_from("xy"), small_terms),
+    st.builds(BitEq, small_terms, small_terms),
+    st.builds(Le, wide_terms, wide_terms),
+))
+sized_words = st.sampled_from(enumerate_words(5))
+
+
+@settings(max_examples=500, deadline=None)
+@given(range_preds, sized_words, sized_words, st.integers(0, 12))
+def test_least_refutation_matches_eval_pred_at_every_m(p, x, y, n):
+    """The inner scan decides each m below the inner bound as eval_pred does."""
+    bound = exact_inner_bound(p, x, y, n)
+    first = next((m for m in range(bound) if not eval_pred(p, x, y, n, m)), None)
+    assert least_refutation(p, x, y, n) == first
 
 
 def test_exact_rejects_unsupported_atoms():
