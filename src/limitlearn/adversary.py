@@ -147,6 +147,8 @@ class _GrowingTargetView:
     def _check(self, pos):
         if pos >= self._bound:
             raise UseViolation(self._stage, pos, self._bound)
+        if pos < 0:
+            raise ConfigError(f"negative position {pos}")
 
     def target_bit(self, pos):
         self._check(pos)
@@ -156,6 +158,8 @@ class _GrowingTargetView:
     def informant_bit(self, j, pos):
         self._check(pos)
         w = self._informant.word(j)
+        if w is None:
+            raise ConfigError(f"informant index {j} out of range")
         return w.bit(pos)
 
 

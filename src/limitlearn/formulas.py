@@ -7,8 +7,10 @@ makes two-level truth decidable on eventually periodic words.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, UnsupportedAtomError
 
@@ -33,6 +35,8 @@ __all__ = [
     "TERM_M",
     "const_term",
     "eval_pred",
+    "Lowered",
+    "lower",
     "use_bound",
     "compile_pred",
     "eval_bounded",
@@ -208,89 +212,110 @@ def eval_pred(p, x, y, n: int, m: int) -> bool:
     raise ConfigError(f"not a predicate node: {p!r}")
 
 
-def use_bound(p, n: int, m: int) -> int:
-    """Positions >= use_bound(n, m) are never read by eval_pred at (n, m)."""
-    if isinstance(p, BitOf):
-        return p.term.value(n, m) + 1
-    if isinstance(p, BitEq):
-        return max(p.term_x.value(n, m), p.term_y.value(n, m)) + 1
-    if isinstance(p, Le):
-        return 0
-    if isinstance(p, CountLe):
-        return p.hi.value(n, m)
+class Lowered(NamedTuple):
+    """A predicate lowered once into the parts its evaluators call.
+
+    holds(bit, n, m) is the truth at (n, m) over the bit sources
+    bit = (xbit, ybit), called lazily: and, or short-circuit left to right
+    as in eval_pred, so it reads exactly the positions eval_pred reads.
+    mask(w, n, full) is the int over the word bit-ints w = (xb, yb) whose
+    bit m is the truth at (n, m), for every m below the width of full, given
+    that xb and yb hold every position the terms reach there; it is defined
+    only when the profile refuses nothing.  reads has one (side, term, d)
+    per term that reads a bit: every position read at (n, m) is below the
+    largest term.value(n, m) + d, or none is read.  profile is
+    (mu, kappa, refusal): the largest n-coefficient and constant of any
+    term, and None or the message of the UnsupportedAtomError that exact
+    evaluation raises.
+    """
+
+    holds: Callable
+    mask: Callable | None
+    reads: tuple
+    profile: tuple
+
+
+def _profile(*terms, refusal=None):
+    """The profile (mu, kappa, refusal) of an atom over the given terms."""
+    if any(t.coeff_n > 1 or t.coeff_m > 1 for t in terms):
+        refusal = refusal or "exact evaluation requires index coefficients 0 or 1"
+    return max(t.coeff_n for t in terms), max(t.constant for t in terms), refusal
+
+
+def _term_mask(s: int, t: IndexTerm):
+    """Mask of the bit of side s at the 0/1-coefficient term t."""
+    cn, c = t.coeff_n, t.constant
+    if t.coeff_m:
+        return lambda w, n, full: w[s] >> (cn * n + c) & full
+    return lambda w, n, full: full if w[s] >> (cn * n + c) & 1 else 0
+
+
+def _lower(p) -> Lowered:
+    """Lower the predicate p; see Lowered.  lower caches the result per p."""
     if isinstance(p, Not):
-        return use_bound(p.inner, n, m)
+        f, g, reads, profile = _lower(p.inner)
+        return Lowered(lambda bit, n, m: not f(bit, n, m),
+                       lambda w, n, full: full ^ g(w, n, full), reads, profile)
     if isinstance(p, (And, Or)):
-        return max(use_bound(p.left, n, m), use_bound(p.right, n, m))
-    raise ConfigError(f"not a predicate node: {p!r}")
-
-
-def compile_pred(p, xbit, ybit):
-    """Compile to a closure (n, m) -> bool over the two bit sources."""
+        (f, fm, ra, pa), (g, gm, rb, pb) = _lower(p.left), _lower(p.right)
+        profile = (max(pa[0], pb[0]), max(pa[1], pb[1]), pa[2] or pb[2])
+        if isinstance(p, And):
+            return Lowered(lambda bit, n, m: f(bit, n, m) and g(bit, n, m),
+                           lambda w, n, full: fm(w, n, full) & gm(w, n, full), ra + rb, profile)
+        return Lowered(lambda bit, n, m: f(bit, n, m) or g(bit, n, m),
+                       lambda w, n, full: fm(w, n, full) | gm(w, n, full), ra + rb, profile)
     if isinstance(p, BitOf):
-        src = xbit if p.side == "x" else ybit
-        cn, cm, c = p.term.coeff_n, p.term.coeff_m, p.term.constant
-        return lambda n, m: src(cn * n + cm * m + c) == 1
+        s, t = "xy".index(p.side), p.term
+        cn, cm, c = t.coeff_n, t.coeff_m, t.constant
+        return Lowered(lambda bit, n, m: bit[s](cn * n + cm * m + c) == 1,
+                       _term_mask(s, t), ((p.side, t, 1),), _profile(t))
     if isinstance(p, BitEq):
         tx, ty = p.term_x, p.term_y
         an, am, ac = tx.coeff_n, tx.coeff_m, tx.constant
         bn, bm, bc = ty.coeff_n, ty.coeff_m, ty.constant
-        return lambda n, m: xbit(an * n + am * m + ac) == ybit(bn * n + bm * m + bc)
+        f, g = _term_mask(0, tx), _term_mask(1, ty)
+        return Lowered(
+            lambda bit, n, m: bit[0](an * n + am * m + ac) == bit[1](bn * n + bm * m + bc),
+            lambda w, n, full: full ^ f(w, n, full) ^ g(w, n, full),
+            (("x", tx, 1), ("y", ty, 1)), _profile(tx, ty))
     if isinstance(p, Le):
+        # lhs <= rhs iff d + slope*m >= 0, d being rhs - lhs at m = 0
         l, r = p.lhs, p.rhs
-        return lambda n, m: l.value(n, m) <= r.value(n, m)
+        dn, dc = r.coeff_n - l.coeff_n, r.constant - l.constant
+        slope = r.coeff_m - l.coeff_m
+        if slope == 0:
+            mask = lambda w, n, full: full if dn * n + dc >= 0 else 0
+        elif slope < 0:  # the low range m <= d
+            mask = lambda w, n, full: full & ((1 << max(dn * n + dc + 1, 0)) - 1)
+        else:  # the high range m >= -d: clear the k = max(-d, 0) low bits
+            mask = lambda w, n, full: full >> (k := max(-dn * n - dc, 0)) << k
+        return Lowered(lambda bit, n, m: dn * n + slope * m + dc >= 0, mask, (),
+                       _profile(l, r))
     if isinstance(p, CountLe):
-        src = xbit if p.side == "x" else ybit
-        lo, hi, bd = p.lo, p.hi, p.bound
-        return lambda n, m: (
-            sum(src(i) for i in range(lo.value(n, m), hi.value(n, m)))
-            <= bd.value(n, m)
-        )
-    if isinstance(p, Not):
-        f = compile_pred(p.inner, xbit, ybit)
-        return lambda n, m: not f(n, m)
-    if isinstance(p, And):
-        f, g = compile_pred(p.left, xbit, ybit), compile_pred(p.right, xbit, ybit)
-        return lambda n, m: f(n, m) and g(n, m)
-    if isinstance(p, Or):
-        f, g = compile_pred(p.left, xbit, ybit), compile_pred(p.right, xbit, ybit)
-        return lambda n, m: f(n, m) or g(n, m)
+        s, lo, hi, bd = "xy".index(p.side), p.lo, p.hi, p.bound
+        return Lowered(
+            lambda bit, n, m: (sum(bit[s](i) for i in range(lo.value(n, m), hi.value(n, m)))
+                               <= bd.value(n, m)),
+            None, ((p.side, hi, 0),), _profile(lo, hi, bd, refusal=(
+                "CountLe atoms have no periodicity threshold; use the relation's oracle")))
     raise ConfigError(f"not a predicate node: {p!r}")
 
 
-def _atoms(node):
-    """Atoms of a predicate or formula tree, left to right."""
-    if isinstance(node, Not):
-        yield from _atoms(node.inner)
-    elif isinstance(node, (And, Or, FAnd, FOr)):
-        yield from _atoms(node.left)
-        yield from _atoms(node.right)
-    elif isinstance(node, (ExistsForall, ForallExists)):
-        yield from _atoms(node.pred)
-    else:
-        yield node
+lower = functools.lru_cache(maxsize=256)(_lower)
 
 
-def _terms_of(atom):
-    if isinstance(atom, BitOf):
-        return (atom.term,)
-    if isinstance(atom, BitEq):
-        return (atom.term_x, atom.term_y)
-    if isinstance(atom, Le):
-        return (atom.lhs, atom.rhs)
-    if isinstance(atom, CountLe):
-        return (atom.lo, atom.hi, atom.bound)
-    raise ConfigError(f"not an atom: {atom!r}")
+def use_bound(p, n: int, m: int) -> int:
+    """Positions >= use_bound(n, m) are never read by eval_pred at (n, m)."""
+    return max((t.value(n, m) + d for _, t, d in lower(p).reads), default=0)
+
+
+def compile_pred(p, xbit, ybit):
+    """Compile to a closure (n, m) -> bool over the two bit sources."""
+    return functools.partial(lower(p).holds, (xbit, ybit))
 
 
 def pred_sides(p) -> set[str]:
-    sides = set()
-    for atom in _atoms(p):
-        if isinstance(atom, BitEq):
-            sides.update("xy")
-        else:
-            sides.update(v for kind, v in _form(atom, "p")[1] if kind == "s")
-    return sides
+    return {side for side, _, _ in lower(p).reads}
 
 
 # ------------------------------------------------------------ formula level
@@ -331,15 +356,15 @@ def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if isinstance(f, ExistsForall):
-        cp = compile_pred(f.pred, x.bit, y.bit)
+        holds, bit = lower(f.pred).holds, (x.bit, y.bit)
         for n in range(horizon):
-            if all(cp(n, m) for m in range(horizon)):
+            if all(holds(bit, n, m) for m in range(horizon)):
                 return ThreeValued.confirmed(n, horizon)
         return ThreeValued.refuted(horizon)
     if isinstance(f, ForallExists):
-        cp = compile_pred(f.pred, x.bit, y.bit)
+        holds, bit = lower(f.pred).holds, (x.bit, y.bit)
         for n in range(horizon):
-            if not any(cp(n, m) for m in range(horizon)):
+            if not any(holds(bit, n, m) for m in range(horizon)):
                 return ThreeValued.undecided(horizon)
         return ThreeValued.confirmed(None, horizon)
     if isinstance(f, (FAnd, FOr)):
@@ -359,68 +384,60 @@ def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
 #
 # For a fixed outer value n, every atom's truth is periodic in m with period
 # P = lcm(|per_x|, |per_y|) once m is past max(L, mu*n + kappa + 1), where
-# L = max preperiod length, mu = the largest n-coefficient and kappa the
-# largest constant in any term: bit positions cN*n + cM*m + c then sit in the
-# periodic tails of both words (cM >= 1 implies position >= m), and every Le
-# comparison has stabilized.  Scanning one extra period therefore decides the
-# inner universal exactly.
+# L = max preperiod length and (mu, kappa) the lowering's profile: bit
+# positions cN*n + cM*m + c then sit in the periodic tails of both words
+# (cM >= 1 implies position >= m), and every Le comparison has stabilized.
+# Scanning one extra period therefore decides the inner universal exactly.
 #
 # For the outer variable, shifting n by P maps surviving inner assignments to
 # surviving inner assignments via m -> m +- P once n exceeds L + 2P + 2k + 1,
 # provided every coefficient is 0 or 1 (coefficient 2 and up would need the
 # shift 2P on positions but P on the guards, which breaks the pairing).  So a
 # true EF formula has a witness below max(T, L + 3P + 2k + 2), where T is the
-# coarser classical bound (preperiod mass plus two coefficient-lcm periods).
-# Coefficients above 1 are rejected rather than risked.
+# coarser classical bound: preperiod mass plus two periods times the
+# coefficient lcm, which is 1 here.  Coefficients above 1 and CountLe atoms
+# have no such bound: the lowering's profile records the refusal, and exact
+# evaluation raises it rather than guess.
 #
 # The inner scan decides every m at once, shift-and style (Baeza-Yates and
-# Gonnet, CACM 35(10), 1992): at outer value n the predicate is an int whose
-# bit m is its truth at (n, m).  A bit atom is a word's bit-int shifted right
-# by cN*n + c (all ones or none if cM = 0), an Le atom a low or high range of
-# m.  The universal holds iff all bits are set; the lowest zero bit refutes it.
+# Gonnet, CACM 35(10), 1992): each word becomes one int of its bits, and the
+# lowering's mask turns them into an int whose bit m is the predicate's truth
+# at (n, m).  A bit atom is a word's bit-int shifted right by cN*n + c (all
+# ones or none if cM = 0), an Le atom a low or high range of m.  The universal
+# holds iff all bits are set; the lowest zero bit refutes it.
 
 
-def _exact_profile(f):
-    mu = kappa = 0
-    coeffs = []
-    for atom in _atoms(f):
-        if isinstance(atom, CountLe):
-            raise UnsupportedAtomError(
-                "CountLe atoms have no periodicity threshold; use the relation's oracle"
-            )
-        for t in _terms_of(atom):
-            if t.coeff_n > 1 or t.coeff_m > 1:
-                raise UnsupportedAtomError(
-                    "exact evaluation requires index coefficients 0 or 1"
-                )
-            mu = max(mu, t.coeff_n)
-            kappa = max(kappa, t.constant)
-            coeffs.extend(c for c in (t.coeff_n, t.coeff_m) if c)
-    return mu, kappa, coeffs
+def _lowering(f) -> Lowered:
+    """The lowering of a predicate, of an EF atom's predicate, or f if lowered."""
+    if isinstance(f, Lowered):
+        return f
+    return lower(f.pred if isinstance(f, ExistsForall) else f)
 
 
-def _exact_bounds(f, x, y):
+def _exact_bounds(low: Lowered, x, y):
     """Scan bounds of the exact EF search on x, y, as (floor, mu, lift, outer).
 
     At outer value n the inner universal is decided by the m below
     max(floor, mu*n + lift) = max(L, mu*n + kappa + 1) + P, and a true
     formula has a witness n < outer.
     """
-    mu, kappa, coeffs = _exact_profile(f)
+    mu, kappa, refusal = low.profile
+    if refusal:
+        raise UnsupportedAtomError(refusal)
     big_l = max(len(x.pre), len(y.pre))
     period = math.lcm(len(x.per), len(y.per))
-    classical = (len(x.pre) + len(y.pre)) + period * math.lcm(*coeffs) * 2
+    classical = len(x.pre) + len(y.pre) + 2 * period
     outer = max(classical, big_l + 3 * period + 2 * kappa + 2)
     return big_l + period, mu, kappa + 1 + period, outer
 
 
 def exact_inner_bound(f, x, y, n: int) -> int:
-    floor, mu, lift, _ = _exact_bounds(f, x, y)
+    floor, mu, lift, _ = _exact_bounds(_lowering(f), x, y)
     return max(floor, mu * n + lift)
 
 
 def exact_outer_bound(f, x, y) -> int:
-    return _exact_bounds(f, x, y)[3]
+    return _exact_bounds(_lowering(f), x, y)[3]
 
 
 def _bits(w, length: int) -> int:
@@ -429,65 +446,27 @@ def _bits(w, length: int) -> int:
     return int(s[::-1], 2)
 
 
-def _term_mask(bits: int, t: IndexTerm):
-    """Mask closure of the bit atom reading bits at the 0/1-coefficient term t."""
-    cn, c = t.coeff_n, t.constant
-    if t.coeff_m:
-        return lambda n, full: bits >> (cn * n + c) & full
-    return lambda n, full: full if bits >> (cn * n + c) & 1 else 0
-
-
-def _compile_mask(p, xb: int, yb: int):
-    """Compile to a closure (n, full) -> int over the word bit-ints xb, yb,
-    whose bit m is the truth of p at (n, m) for each m below the width of full."""
-    if isinstance(p, BitOf):
-        return _term_mask(xb if p.side == "x" else yb, p.term)
-    if isinstance(p, BitEq):
-        f, g = _term_mask(xb, p.term_x), _term_mask(yb, p.term_y)
-        return lambda n, full: full ^ f(n, full) ^ g(n, full)
-    if isinstance(p, Le):
-        # lhs <= rhs iff d + slope*m >= 0, d being rhs - lhs at m = 0
-        l, r = p.lhs, p.rhs
-        dn, dc = r.coeff_n - l.coeff_n, r.constant - l.constant
-        slope = r.coeff_m - l.coeff_m
-        if slope == 0:
-            return lambda n, full: full if dn * n + dc >= 0 else 0
-        if slope < 0:  # the low range m <= d
-            return lambda n, full: full & ((1 << max(dn * n + dc + 1, 0)) - 1)
-        # the high range m >= -d: clear the k = max(-d, 0) low bits
-        return lambda n, full: full >> (k := max(-dn * n - dc, 0)) << k
-    if isinstance(p, Not):
-        f = _compile_mask(p.inner, xb, yb)
-        return lambda n, full: full ^ f(n, full)
-    if isinstance(p, And):
-        f, g = _compile_mask(p.left, xb, yb), _compile_mask(p.right, xb, yb)
-        return lambda n, full: f(n, full) & g(n, full)
-    if isinstance(p, Or):
-        f, g = _compile_mask(p.left, xb, yb), _compile_mask(p.right, xb, yb)
-        return lambda n, full: f(n, full) | g(n, full)
-    raise ConfigError(f"not a predicate node: {p!r}")
-
-
 def least_refutation(pred, x, y, n: int) -> int | None:
-    """Least m at which pred fails at outer value n, or None if it holds for all m."""
+    """Least m at which pred (or its lowering) fails at outer value n; None if it never does."""
     if n < 0:
         raise ConfigError(f"negative outer value {n}")
-    width = exact_inner_bound(pred, x, y, n)
+    low = _lowering(pred)
+    width = exact_inner_bound(low, x, y, n)
     length = n + width + COEFF_CAP
     full = (1 << width) - 1
-    miss = full ^ _compile_mask(pred, _bits(x, length), _bits(y, length))(n, full)
+    miss = full ^ low.mask((_bits(x, length), _bits(y, length)), n, full)
     return (miss & -miss).bit_length() - 1 if miss else None
 
 
-def _exact_ef_atom(pred, x, y) -> int | None:
-    """Least exact witness n of the EF atom over pred, or None."""
-    floor, mu, lift, outer = _exact_bounds(pred, x, y)
+def _exact_ef_atom(low: Lowered, x, y) -> int | None:
+    """Least exact witness n of the EF atom over the lowered predicate, or None."""
+    floor, mu, lift, outer = _exact_bounds(low, x, y)
     # positions read at n < outer stay below n + width(n) + kappa
     length = outer + max(floor, mu * outer + lift) + COEFF_CAP
-    mask = _compile_mask(pred, _bits(x, length), _bits(y, length))
+    w, mask = (_bits(x, length), _bits(y, length)), low.mask
     for n in range(outer):
         full = (1 << max(floor, mu * n + lift)) - 1
-        if mask(n, full) == full:
+        if mask(w, n, full) == full:
             return n
     return None
 
@@ -495,15 +474,15 @@ def _exact_ef_atom(pred, x, y) -> int | None:
 def exists_forall_witness(f, x, y) -> int | None:
     if not isinstance(f, ExistsForall):
         raise ConfigError("witness search needs a single EF atom")
-    return _exact_ef_atom(f.pred, x, y)
+    return _exact_ef_atom(lower(f.pred), x, y)
 
 
 def eval_exact_ep(f, x, y) -> bool:
     """Exact two-level truth on eventually periodic words."""
     if isinstance(f, ExistsForall):
-        return _exact_ef_atom(f.pred, x, y) is not None
+        return _exact_ef_atom(lower(f.pred), x, y) is not None
     if isinstance(f, ForallExists):
-        return _exact_ef_atom(Not(f.pred), x, y) is None
+        return _exact_ef_atom(lower(Not(f.pred)), x, y) is None
     if isinstance(f, FAnd):
         return eval_exact_ep(f.left, x, y) and eval_exact_ep(f.right, x, y)
     if isinstance(f, FOr):

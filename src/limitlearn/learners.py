@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import words
 from .errors import ConfigError, ContractViolation
-from .formulas import ExistsForall, compile_pred, parse_formula, parse_formulas, pred_sides, use_bound
+from .formulas import ExistsForall, lower, parse_formula, parse_formulas, pred_sides
 from .words import Word
 
 __all__ = [
@@ -114,6 +114,12 @@ class Learner:
         return None
 
 
+def _stage_use(lowerings) -> tuple:
+    """(a, b) pairs whose largest a*s + b is the use bound at n = m = s."""
+    return tuple({(t.coeff_n + t.coeff_m, t.constant + d)
+                  for low in lowerings for _, t, d in low.reads})
+
+
 class SynthLearner(Learner):
     """Learner synthesized from a single EF code.
 
@@ -130,6 +136,8 @@ class SynthLearner(Learner):
             raise ConfigError("synthesizer needs a single exists-forall atom")
         self.code = code
         self.pred = code.pred
+        self.lowered = lower(code.pred)
+        self._use = _stage_use([self.lowered])
         self.informant = informant
 
     def fresh_state(self):
@@ -137,7 +145,7 @@ class SynthLearner(Learner):
         return (0, 0)
 
     def use_bound_at(self, stage: int) -> int:
-        return use_bound(self.pred, stage, stage)
+        return max((a * stage + b for a, b in self._use), default=0)
 
     def pointer_of(self, state):
         return state[0]
@@ -145,24 +153,16 @@ class SynthLearner(Learner):
     def step(self, state, stage: int, view):
         k, next_m = state
         size = view.informant_size
+        holds = self.lowered.holds
         while k < stage:
             a, b = cantor_unpair(k)
-            if size is not None and a >= size:
-                k += 1
-                next_m = 0
-                continue
-            cp = compile_pred(self.pred, view.target_bit, lambda i, a=a: view.informant_bit(a, i))
-            refuted = False
-            for m in range(next_m, stage):
-                if not cp(b, m):
-                    refuted = True
+            if size is None or a < size:
+                bit = (view.target_bit, lambda i, a=a: view.informant_bit(a, i))
+                if all(holds(bit, b, m) for m in range(next_m, stage)):
+                    next_m = stage
                     break
-            if refuted:
-                k += 1
-                next_m = 0
-                continue
-            next_m = stage
-            break
+            k += 1
+            next_m = 0
         a, _ = cantor_unpair(k)
         return (k, next_m), a
 
@@ -184,17 +184,19 @@ class SeparatorLearner(Learner):
             if pred_sides(code.pred) - {"x"}:
                 raise ConfigError("separator codes must mention only the target side x")
         self.codes = set_codes
+        self.lowered = tuple(lower(c.pred) for c in set_codes)
+        self._use = _stage_use(self.lowered)
 
     def use_bound_at(self, stage: int) -> int:
-        return max(use_bound(c.pred, stage, stage) for c in self.codes)
+        return max((a * stage + b for a, b in self._use), default=0)
 
     def step(self, state, stage: int, view):
+        bit = (view.target_bit, view.target_bit)
         for idx in range(stage):
             i, n = cantor_unpair(idx)
             if i >= len(self.codes):
                 continue
-            cp = compile_pred(self.codes[i].pred, view.target_bit, view.target_bit)
-            if all(cp(n, m) for m in range(stage)):
+            if all(self.lowered[i].holds(bit, n, m) for m in range(stage)):
                 return state, i
         return state, stage
 

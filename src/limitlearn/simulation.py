@@ -158,7 +158,6 @@ def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificat
     if not informant.is_explicit:
         raise ConfigError("certification needs an explicit informant")
     ws = informant.explicit_words()
-    pred = learner.pred
 
     truths = [eval_exact_ep(learner.code, target, w) for w in ws]
     if not any(truths):
@@ -172,7 +171,7 @@ def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificat
             refutations.append((a, b, None))
             k += 1
             continue
-        m = least_refutation(pred, target, ws[a], b)
+        m = least_refutation(learner.lowered, target, ws[a], b)
         if m is None:
             surviving = (a, b)
             break

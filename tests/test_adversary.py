@@ -25,7 +25,7 @@ from limitlearn.adversary import (
 )
 from limitlearn.errors import ConfigError, ContractViolation
 from limitlearn.formulas import eval_exact_ep, formula_size
-from limitlearn.learners import ConstantLearner, Informant, SynthLearner
+from limitlearn.learners import ConstantLearner, Informant, Learner, SynthLearner
 from limitlearn.relations import e0_code, make_relation
 from limitlearn.simulation import run_session
 from limitlearn.words import Word, parse_word as W
@@ -109,6 +109,34 @@ def test_diagonalize_zero_rounds_is_vacuous():
     assert run.verdict == "FORCED" and run.forced_rounds == 0
     assert run.committed_target == W("|0")
     assert run.phase_log == () and run.mind_change_stages == ()
+
+
+class OneReadLearner(Learner):
+    """Reads one bit through the view at every stage and claims index 1."""
+
+    def __init__(self, read):
+        self.read = read
+
+    def use_bound_at(self, stage):
+        return 1
+
+    def step(self, state, stage, view):
+        self.read(view)
+        return state, 1
+
+
+@pytest.mark.parametrize("read", [
+    lambda view: view.target_bit(-1),
+    lambda view: view.informant_bit(-1, 0),
+], ids=["target-position", "informant-index"])
+def test_diagonalize_view_rejects_what_the_stage_view_rejects(read):
+    """Target position -1 and informant index -1 are configuration errors
+    under the diagonalizer's growing target view, as under StageView."""
+    learner = OneReadLearner(read)
+    with pytest.raises(ConfigError):
+        run_session(learner, W("|0"), inf_family_informant(), 2)
+    with pytest.raises(ConfigError):
+        diagonalize_inf(learner, SIM0, 4, 2)
 
 
 def test_diagonalize_run_survives_replay():

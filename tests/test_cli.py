@@ -1,9 +1,11 @@
 """Command line surface: subcommands, config merging, record output, exit
-codes.  Most tests call main() in process; one builds the console script
-that pyproject.toml declares in a temporary directory and runs it by name.
+codes, and the README's transcripts.  Most tests call main() in process;
+one builds the console script that pyproject.toml declares in a temporary
+directory and runs it by name.
 """
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -314,3 +316,57 @@ def test_module_invocation_matches(capsys):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == CATALOG_LINES
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_transcripts():
+    """Each `$ ` command in README.md's code blocks, with the lines shown after it.
+
+    A trailing backslash continues a command; its output ends at a blank
+    line, the next command or the end of the block.
+    """
+    transcripts, in_block, current = [], False, None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_block, current = not in_block, None
+        elif not in_block or not line.strip():
+            current = None
+        elif line.startswith("$ "):
+            current = [line[2:], []]
+            transcripts.append(current)
+        elif current is not None and current[0].endswith("\\"):
+            current[0] = current[0][:-1] + line.strip()
+        elif current is not None:
+            current[1].append(line)
+    return transcripts
+
+
+def test_readme_transcripts(capsys, tmp_path, monkeypatch):
+    """Every `$ limitlearn ...` transcript in the README prints what it shows.
+
+    The files the README makes are written in a temporary directory as it
+    writes them: `cat FILE` shows a file's text, `printf 'TEXT' > FILE`
+    writes one.  A last output line `...` stands for the remaining lines.
+    """
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for command, expected in readme_transcripts():
+        argv = shlex.split(command)
+        if argv[0] == "cat":
+            (tmp_path / argv[1]).write_text("\n".join(expected) + "\n")
+            continue
+        if argv[0] == "printf":
+            assert argv[2] == ">" and len(argv) == 4 and not expected, command
+            (tmp_path / argv[3]).write_text(argv[1].replace("\\n", "\n"))
+            continue
+        assert argv[0] == "limitlearn", command
+        assert main(argv[1:]) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        if expected[-1] == "...":
+            expected = expected[:-1]
+            out = out[:len(expected)]
+        assert out == expected, command
+        ran += 1
+    assert ran == 8

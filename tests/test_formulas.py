@@ -125,14 +125,18 @@ def pred_trees(leaves):
 
 
 preds = pred_trees(atoms)
+# codes, and the lazy path that evaluates them, also take cntle atoms,
+# which exact evaluation refuses
+code_preds = pred_trees(st.one_of(
+    atoms, st.builds(CountLe, st.sampled_from("xy"), small_terms, small_terms, small_terms)))
 
 
-@given(preds, words, words, st.integers(0, 6), st.integers(0, 6))
+@given(code_preds, words, words, st.integers(0, 6), st.integers(0, 6))
 def test_compile_matches_eval(p, x, y, n, m):
     assert compile_pred(p, x.bit, y.bit)(n, m) == eval_pred(p, x, y, n, m)
 
 
-@given(preds, words, words, st.integers(0, 6), st.integers(0, 6))
+@given(code_preds, words, words, st.integers(0, 6), st.integers(0, 6))
 def test_use_bound_covers_reads(p, x, y, n, m):
     positions = []
 
@@ -358,8 +362,6 @@ def test_parse_formula_rejects_two_formulas():
         parse_formula("(ef (bit x (ix 1 0 0))) (ef (bit y (ix 1 0 0)))")
 
 
-code_preds = pred_trees(st.one_of(
-    atoms, st.builds(CountLe, st.sampled_from("xy"), small_terms, small_terms, small_terms)))
 codes = st.recursive(
     st.one_of(st.builds(ExistsForall, code_preds), st.builds(ForallExists, code_preds)),
     lambda inner: st.one_of(st.builds(FAnd, inner, inner), st.builds(FOr, inner, inner)),
