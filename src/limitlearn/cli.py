@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 from .adversary import (
     candidate_codes,
@@ -29,6 +29,8 @@ from .errors import (
     ContractViolation,
     CrosscheckDisagreement,
     UnsupportedAtomError,
+    natural,
+    read_text,
 )
 from .formulas import eval_exact_ep, parse_formula
 from .learners import Informant, SynthLearner, learner_from_string
@@ -48,37 +50,28 @@ from .simulation import (
 )
 from .words import parse_word
 
-_DEFAULTS = {
-    "horizon": 100,
-    "seed": 0,
-    "patience": 64,
-    "rounds": 10,
-    "maxSize": 6,
-    "samples": 100,
-}
-_INT_KEYS = set(_DEFAULTS)
-_CONFIG_KEYS = _INT_KEYS | {"relation", "target", "informant", "learner", "code"}
+# Each option once: attribute (flag --attribute, - for _), config key, default,
+# accepted range (None: unbounded) and help; an int default marks a natural
+# number.  maxSize stops at 7, where falsify on e0 already takes 40-50 s.
+_OPTIONS = (
+    ("relation", "relation", None, None, "catalog name or tree:PATH"),
+    ("target", "target", None, None, "word literal PRE|PER"),
+    ("informant", "informant", None, None, "word literals, or one generator name"),
+    ("learner", "learner", None, None, "learner selection string"),
+    ("horizon", "horizon", 100, (1, None), None),
+    ("seed", "seed", 0, (0, None), None),
+    ("patience", "patience", 64, (0, None), None),
+    ("rounds", "rounds", 10, (0, None), None),
+    ("max_size", "maxSize", 6, (1, 7), None),
+    ("samples", "samples", 100, (1, None), None),
+    ("code", "code", None, None, "formula file"),
+)
+_CONFIG_KEYS = {key for _, key, *_ in _OPTIONS}
 
 _GENERATORS = {
     "finite-support": lambda: Informant.finite_support(),
     "inf-family": inf_family_informant,
 }
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    relation: str | None
-    target: str | None
-    informant: tuple | None
-    learner: str | None
-    horizon: int
-    seed: int
-    patience: int
-    rounds: int
-    max_size: int
-    samples: int
-    code: str | None
-    base_dir: Path
 
 
 def parse_config_file(text: str) -> dict:
@@ -93,107 +86,69 @@ def parse_config_file(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 
 
-def _to_int(key: str, value) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a natural number, got {value!r}") from None
-    if n < 0:
-        raise ConfigError(f"{key} must be nonnegative, got {n}")
-    return n
-
-
-def _merge(args) -> ExperimentConfig:
-    file_cfg = {}
-    base_dir = Path.cwd()
-    if getattr(args, "config", None):
+def _merge(args) -> SimpleNamespace:
+    """Each option from its flag, else its config line, else its default."""
+    file_cfg, base_dir = {}, Path.cwd()
+    if args.config:
         path = Path(args.config)
-        try:
-            file_cfg = parse_config_file(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        base_dir = path.parent
-
-    def pick(flag_name, key):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        if key in file_cfg:
-            return file_cfg[key]
-        return _DEFAULTS.get(key)
-
-    informant = pick("informant", "informant")
-    if isinstance(informant, str):
-        informant = tuple(informant.split())
-    elif informant is not None:
-        informant = tuple(informant)
-    return ExperimentConfig(
-        relation=pick("relation", "relation"),
-        target=pick("target", "target"),
-        informant=informant,
-        learner=pick("learner", "learner"),
-        horizon=_to_int("horizon", pick("horizon", "horizon")),
-        seed=_to_int("seed", pick("seed", "seed")),
-        patience=_to_int("patience", pick("patience", "patience")),
-        rounds=_to_int("rounds", pick("rounds", "rounds")),
-        max_size=_to_int("maxSize", pick("max_size", "maxSize")),
-        samples=_to_int("samples", pick("samples", "samples")),
-        code=pick("code", "code"),
-        base_dir=base_dir,
-    )
+        file_cfg, base_dir = parse_config_file(read_text(path, "config")), path.parent
+    cfg = SimpleNamespace(base_dir=base_dir)
+    for attr, key, default, bounds, _ in _OPTIONS:
+        value = getattr(args, attr)
+        if value is None:
+            value = file_cfg.get(key, default)
+        if isinstance(default, int):
+            value = natural(value, key, *bounds)
+        setattr(cfg, attr, value)
+    return cfg
 
 
-def _require(cfg: ExperimentConfig, field: str):
+def _require(cfg: SimpleNamespace, field: str):
     value = getattr(cfg, field)
     if value is None:
         raise ConfigError(f"missing required field {field!r}")
     return value
 
 
-def _relation_of(cfg: ExperimentConfig):
+def _relation_of(cfg: SimpleNamespace):
     name = _require(cfg, "relation")
     if name.startswith("tree:"):
-        path = cfg.base_dir / name[len("tree:"):]
-        try:
-            return make_relation("tree", parse_tree_file(path.read_text()))
-        except OSError as exc:
-            raise ConfigError(f"cannot read tree file {path}: {exc}") from exc
+        text = read_text(cfg.base_dir / name[len("tree:"):], "tree file")
+        return make_relation("tree", parse_tree_file(text))
     return make_relation(name)
 
 
-def _informant_of(cfg: ExperimentConfig) -> Informant:
+def _informant_of(cfg: SimpleNamespace) -> Informant:
     tokens = _require(cfg, "informant")
+    if isinstance(tokens, str):
+        tokens = tokens.split()
     if len(tokens) == 1 and tokens[0] in _GENERATORS:
         return _GENERATORS[tokens[0]]()
     return Informant.explicit([parse_word(t) for t in tokens])
 
 
-def _read_code(cfg: ExperimentConfig):
-    path = cfg.base_dir / cfg.code
-    try:
-        return parse_formula(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read code file {path}: {exc}") from exc
+def _read_code(cfg: SimpleNamespace):
+    return parse_formula(read_text(cfg.base_dir / cfg.code, "code file"))
 
 
-def _cmd_catalog(cfg: ExperimentConfig, out) -> int:
+def _cmd_catalog(cfg: SimpleNamespace, out) -> int:
     for name, learnable, summary in catalog_rows():
         print(f"relation={name} learnable={learnable} summary={summary}", file=out)
     return 0
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out) -> int:
+def _cmd_simulate(cfg: SimpleNamespace, out) -> int:
     relation = _relation_of(cfg)
     target = parse_word(_require(cfg, "target"))
     informant = _informant_of(cfg)
     learner = learner_from_string(_require(cfg, "learner"), relation, informant,
                                   str(cfg.base_dir))
-    if cfg.horizon < 1:
-        raise ConfigError("horizon must be at least 1")
     trace = run_session(learner, target, informant, cfg.horizon)
     certificate = None
     if isinstance(learner, SynthLearner) and informant.is_explicit:
@@ -206,7 +161,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out) -> int:
     return 0
 
 
-def _cmd_adversary(cfg: ExperimentConfig, out) -> int:
+def _cmd_adversary(cfg: SimpleNamespace, out) -> int:
     relation = _relation_of(cfg)
     learner = learner_from_string(_require(cfg, "learner"), relation,
                                   inf_family_informant(), str(cfg.base_dir))
@@ -215,10 +170,8 @@ def _cmd_adversary(cfg: ExperimentConfig, out) -> int:
     return 0
 
 
-def _cmd_falsify(cfg: ExperimentConfig, out) -> int:
+def _cmd_falsify(cfg: SimpleNamespace, out) -> int:
     relation = _relation_of(cfg)
-    if cfg.max_size < 1:
-        raise ConfigError("maxSize must be at least 1")
     if cfg.code is not None:
         codes = ((Path(cfg.code).stem, _read_code(cfg)),)
     else:
@@ -233,7 +186,7 @@ def _cmd_falsify(cfg: ExperimentConfig, out) -> int:
     return 0
 
 
-def _cmd_crosscheck(cfg: ExperimentConfig, out) -> int:
+def _cmd_crosscheck(cfg: SimpleNamespace, out) -> int:
     relation = _relation_of(cfg)
     if relation.name == "oscillation":
         if cfg.code is not None:
@@ -245,8 +198,6 @@ def _cmd_crosscheck(cfg: ExperimentConfig, out) -> int:
             raise ConfigError(f"relation {relation.name} has no exact code to crosscheck")
         def check(x, y, code=code):
             return eval_exact_ep(code, x, y)
-    if cfg.samples < 1:
-        raise ConfigError("samples must be at least 1")
     rng = random.Random(cfg.seed)
     for i in range(cfg.samples):
         x, y = crosscheck_pair(rng, relation)
@@ -280,18 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--relation", help="catalog name or tree:PATH")
-        p.add_argument("--target", help="word literal PRE|PER")
-        p.add_argument("--informant", nargs="+",
-                       help="word literals, or one generator name")
-        p.add_argument("--learner", help="learner selection string")
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--rounds", type=int)
-        p.add_argument("--max-size", dest="max_size", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--code", help="formula file")
+        for attr, _, _, _, help_text in _OPTIONS:
+            p.add_argument("--" + attr.replace("_", "-"), help=help_text,
+                           nargs="+" if attr == "informant" else None)
     return parser
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two readers of
+outside input that raise ConfigError."""
+
+from pathlib import Path
 
 
 class LimitlearnError(Exception):
@@ -35,3 +38,27 @@ class CrosscheckDisagreement(LimitlearnError):
     def __init__(self, message, witness=None):
         self.witness = witness
         super().__init__(message)
+
+
+def natural(text, what: str, lo: int = 0, hi: int | None = None) -> int:
+    """`text` as a natural number in lo..hi (hi None: unbounded), or a
+    ConfigError naming `what`."""
+    try:
+        n = int(text)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a natural number, got {text!r}") from None
+    if n < 0:
+        raise ConfigError(f"{what} must be nonnegative, got {n}")
+    if n < lo:
+        raise ConfigError(f"{what} must be at least {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise ConfigError(f"{what} must be at most {hi}, got {n}")
+    return n
+
+
+def read_text(path: Path, what: str) -> str:
+    """The text of the file at `path`, or a ConfigError naming `what`."""
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc

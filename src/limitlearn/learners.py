@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import words
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, natural, read_text
 from .formulas import ExistsForall, lower, parse_formula, parse_formulas, pred_sides
 from .words import Word
 
@@ -99,7 +99,12 @@ class Informant:
 
 
 class Learner:
-    """Deterministic stage machine with a declared use schedule."""
+    """Deterministic stage machine with a declared use schedule.
+
+    `step` must be a deterministic function of its state, its stage and the
+    answers its view returns: no clock, randomness or other hidden input.
+    So two runs whose views answer every read alike are the same run.
+    """
 
     def fresh_state(self):
         return None
@@ -441,14 +446,12 @@ def _parse_rows_file(text: str):
 def learner_from_string(spec: str, relation=None, informant: Informant | None = None, base_dir: str = ".") -> Learner:
     """Build a learner from a selection string like synth:FILE or cycling:2."""
     kind, _, rest = spec.partition(":")
-    base = Path(base_dir)
 
-    def read(name):
-        p = base / name
-        try:
-            return p.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read {p}: {exc}") from exc
+    def read():
+        return read_text(Path(base_dir) / rest, f"{kind} file")
+
+    def number(default=""):
+        return natural(rest or default, f"{kind} argument")
 
     def need_classes():
         if relation is None or informant is None or not informant.is_explicit:
@@ -458,11 +461,11 @@ def learner_from_string(spec: str, relation=None, informant: Informant | None = 
     if kind == "synth":
         if informant is None:
             raise ConfigError("synth learner needs an informant")
-        return SynthLearner(parse_formula(read(rest)), informant)
+        return SynthLearner(parse_formula(read()), informant)
     if kind == "separators":
-        return SeparatorLearner(parse_formulas(read(rest)))
+        return SeparatorLearner(parse_formulas(read()))
     if kind == "countable":
-        return CountableClassLearner(_parse_rows_file(read(rest)))
+        return CountableClassLearner(_parse_rows_file(read()))
     if kind == "bc2ex":
         if not rest:
             raise ConfigError("bc2ex needs an inner learner string")
@@ -475,16 +478,9 @@ def learner_from_string(spec: str, relation=None, informant: Informant | None = 
             raise ConfigError("transport needs an inner learner string")
         return TransportLearner(learner_from_string(inner, relation, informant, base_dir), _REDUCTIONS[red_name]())
     if kind == "cycling":
-        try:
-            true_class = int(rest)
-        except ValueError:
-            raise ConfigError(f"cycling needs a class index, got {rest!r}") from None
-        return CyclingLearner(need_classes(), true_class)
+        return CyclingLearner(need_classes(), number())
     if kind == "constant":
-        try:
-            return ConstantLearner(int(rest or "0"))
-        except ValueError:
-            raise ConfigError(f"constant needs an index, got {rest!r}") from None
+        return ConstantLearner(number(0))
     if kind == "recent-ones":
-        return RecentOnesLearner(int(rest) if rest else 8)
+        return RecentOnesLearner(number(8))
     raise ConfigError(f"unknown learner kind {kind!r}")

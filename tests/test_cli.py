@@ -5,6 +5,7 @@ directory and runs it by name.
 """
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import limitlearn
-from limitlearn.cli import ExperimentConfig, main, parse_config_file
+from limitlearn.cli import _OPTIONS, main, parse_config_file
 from limitlearn.errors import ConfigError
 
 E0_CODE_TEXT = "(ef (or (le (ix 0 1 1) (ix 1 0 0)) (eq (ix 0 1 0) (ix 0 1 0))))\n"
@@ -207,11 +208,20 @@ def test_config_errors_exit_2(capsys, workdir, tmp_path):
         ("falsify", "--relation", "e0", "--code", "e0.s2f",
          "--config", str(workdir / "run.cfg"), "--max-size", "0"),        # no word pair
         ("crosscheck", "--relation", "e0", "--samples", "0"),             # no sample
+        ("falsify", "--relation", "e0", "--code", "e0.s2f",
+         "--config", str(workdir / "run.cfg"), "--max-size", "8"),        # pool too big
+        ("catalog", "--horizon", "0"),                                    # checked everywhere
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+    # a bad learner argument is reported under its learner kind
+    for spec in ("constant:-2", "recent-ones:abc"):
+        code, _, err = run_cli(capsys, "simulate", "--relation", "e0", "--target", "|0",
+                               "--informant", "|0", "--learner", spec, "--horizon", "2")
+        assert code == 2, spec
+        assert err.startswith(f"error: {spec.split(':')[0]} argument"), spec
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):
@@ -250,6 +260,8 @@ def test_parse_config_file_values():
     assert cfg == {"relation": "e0", "horizon": "12"}
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_file("relation e0\n")
+    with pytest.raises(ConfigError, match="line 2: duplicate key 'horizon'"):
+        parse_config_file("horizon = 3\nhorizon = 5\n")
 
 
 def test_merge_rejects_bad_numbers(capsys, tmp_path):
@@ -370,3 +382,18 @@ def test_readme_transcripts(capsys, tmp_path, monkeypatch):
         assert out == expected, command
         ran += 1
     assert ran == 8
+
+
+def test_readme_keys_and_help_flags_match_the_option_table(capsys):
+    """The README's config keys are the table's, and each subcommand's --help
+    lists every table flag exactly once."""
+    keys = README.read_text().split("Keys are", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", keys) == [key for _, key, *_ in _OPTIONS]
+    for command in ("catalog", "simulate", "adversary", "falsify", "crosscheck"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        heads = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                 if line.strip()]
+        for attr, *_ in _OPTIONS:
+            assert heads.count("--" + attr.replace("_", "-")) == 1, (command, attr)

@@ -360,9 +360,9 @@ def test_learner_from_string_errors(tmp_path):
         dict(spec="transport:warp:constant:0"),
         dict(spec="transport:prefix0:"),
         dict(spec="constant:abc"),
+        dict(spec="constant:-2"),
+        dict(spec="recent-ones:wide"),
     ]
     for case in cases:
         with pytest.raises(ConfigError):
             learner_from_string(case.pop("spec"), base_dir=str(tmp_path), **case)
-    with pytest.raises(ValueError):
-        learner_from_string("recent-ones:wide")
