@@ -61,8 +61,9 @@ class IndexTerm:
 
     def __post_init__(self):
         for v in (self.coeff_n, self.coeff_m, self.constant):
-            if not 0 <= v <= COEFF_CAP:
-                raise ConfigError(f"index term component {v} outside [0, {COEFF_CAP}]")
+            # lower pastes these into generated source, so plain ints only
+            if type(v) is not int or not 0 <= v <= COEFF_CAP:
+                raise ConfigError(f"index term component {v!r} is not an int in [0, {COEFF_CAP}]")
 
     def value(self, n: int, m: int) -> int:
         return self.coeff_n * n + self.coeff_m * m + self.constant
@@ -215,22 +216,29 @@ def eval_pred(p, x, y, n: int, m: int) -> bool:
 class Lowered(NamedTuple):
     """A predicate lowered once into the parts its evaluators call.
 
+    Each form emits holds and mask source from a fixed template, and lower
+    compiles it once per predicate: the interpreter partially evaluated per
+    code (Jones, Gomard and Sestoft, 1993).  Only validated IndexTerm ints
+    and fixed names enter the source, never text from the caller.
+
     holds(bit, n, m) is the truth at (n, m) over the bit sources
     bit = (xbit, ybit), called lazily: and, or short-circuit left to right
-    as in eval_pred, so it reads exactly the positions eval_pred reads.
+    as in eval_pred, so it reads the positions eval_pred reads, in its order.
     mask(w, n, full) is the int over the word bit-ints w = (xb, yb) whose
     bit m is the truth at (n, m), for every m below the width of full, given
-    that xb and yb hold every position the terms reach there; it is defined
-    only when the profile refuses nothing.  reads has one (side, term, d)
-    per term that reads a bit: every position read at (n, m) is below the
-    largest term.value(n, m) + d, or none is read.  profile is
-    (mu, kappa, refusal): the largest n-coefficient and constant of any
-    term, and None or the message of the UnsupportedAtomError that exact
-    evaluation raises.
+    that xb and yb hold every position the terms reach there.
+    search(xb, yb, floor, mu, lift, outer) is the least n < outer whose mask
+    at width max(floor, mu*n + lift) is all ones, or None.  mask and search
+    are None when the profile refuses.  reads has one (side, term, d) per
+    term that reads a bit: every position read at (n, m) is below the largest
+    term.value(n, m) + d, or none is read.  profile is (mu, kappa, refusal):
+    the largest n-coefficient and constant of any term, and None or the
+    message of the UnsupportedAtomError that exact evaluation raises.
     """
 
     holds: Callable
     mask: Callable | None
+    search: Callable | None
     reads: tuple
     profile: tuple
 
@@ -242,66 +250,106 @@ def _profile(*terms, refusal=None):
     return max(t.coeff_n for t in terms), max(t.constant for t in terms), refusal
 
 
-def _term_mask(s: int, t: IndexTerm):
-    """Mask of the bit of side s at the 0/1-coefficient term t."""
-    cn, c = t.coeff_n, t.constant
-    if t.coeff_m:
-        return lambda w, n, full: w[s] >> (cn * n + c) & full
-    return lambda w, n, full: full if w[s] >> (cn * n + c) & 1 else 0
+def _affine(cn: int, cm: int, c: int) -> str:
+    """Source of cn*n + cm*m + c."""
+    parts = [v if k == 1 else f"{k}*{v}" for v, k in (("n", cn), ("m", cm)) if k]
+    return " + ".join(parts + [str(c)] if c or not parts else parts)
 
 
-def _lower(p) -> Lowered:
-    """Lower the predicate p; see Lowered.  lower caches the result per p."""
+def _at(t: IndexTerm) -> str:
+    """Source of t.value(n, m)."""
+    return _affine(t.coeff_n, t.coeff_m, t.constant)
+
+
+def _clamp(cn: int, c: int) -> str:
+    """Source of max(cn*n + c, 0), given n >= 0."""
+    return _affine(cn, 0, c) if cn >= 0 and c >= 0 else f"max({_affine(cn, 0, c)}, 0)"
+
+
+def _bit_mask(s: str, t: IndexTerm) -> str:
+    """Mask source of the bit of word s at the 0/1-coefficient term t."""
+    shift = _affine(t.coeff_n, 0, t.constant)
+    shifted = s if shift == "0" else f"{s} >> ({shift})"
+    return f"({shifted} & full)" if t.coeff_m else f"(full if {shifted} & 1 else 0)"
+
+
+def _lower(p):
+    """(holds, mask, reads, profile) of p, holds and mask as source; see Lowered.
+
+    x and y name the bit sources in holds and the bit-ints in mask; mask is
+    None under a CountLe atom.
+    """
     if isinstance(p, Not):
-        f, g, reads, profile = _lower(p.inner)
-        return Lowered(lambda bit, n, m: not f(bit, n, m),
-                       lambda w, n, full: full ^ g(w, n, full), reads, profile)
+        h, k, reads, profile = _lower(p.inner)
+        return f"(not {h})", k and f"(full ^ {k})", reads, profile
     if isinstance(p, (And, Or)):
-        (f, fm, ra, pa), (g, gm, rb, pb) = _lower(p.left), _lower(p.right)
+        (ha, ka, ra, pa), (hb, kb, rb, pb) = _lower(p.left), _lower(p.right)
         profile = (max(pa[0], pb[0]), max(pa[1], pb[1]), pa[2] or pb[2])
-        if isinstance(p, And):
-            return Lowered(lambda bit, n, m: f(bit, n, m) and g(bit, n, m),
-                           lambda w, n, full: fm(w, n, full) & gm(w, n, full), ra + rb, profile)
-        return Lowered(lambda bit, n, m: f(bit, n, m) or g(bit, n, m),
-                       lambda w, n, full: fm(w, n, full) | gm(w, n, full), ra + rb, profile)
+        op, bitwise = ("and", "&") if isinstance(p, And) else ("or", "|")
+        return f"({ha} {op} {hb})", ka and kb and f"({ka} {bitwise} {kb})", ra + rb, profile
     if isinstance(p, BitOf):
-        s, t = "xy".index(p.side), p.term
-        cn, cm, c = t.coeff_n, t.coeff_m, t.constant
-        return Lowered(lambda bit, n, m: bit[s](cn * n + cm * m + c) == 1,
-                       _term_mask(s, t), ((p.side, t, 1),), _profile(t))
+        s, t = "xy"["xy".index(p.side)], p.term
+        return f"({s}({_at(t)}) == 1)", _bit_mask(s, t), ((p.side, t, 1),), _profile(t)
     if isinstance(p, BitEq):
         tx, ty = p.term_x, p.term_y
-        an, am, ac = tx.coeff_n, tx.coeff_m, tx.constant
-        bn, bm, bc = ty.coeff_n, ty.coeff_m, ty.constant
-        f, g = _term_mask(0, tx), _term_mask(1, ty)
-        return Lowered(
-            lambda bit, n, m: bit[0](an * n + am * m + ac) == bit[1](bn * n + bm * m + bc),
-            lambda w, n, full: full ^ f(w, n, full) ^ g(w, n, full),
-            (("x", tx, 1), ("y", ty, 1)), _profile(tx, ty))
+        return (f"(x({_at(tx)}) == y({_at(ty)}))",
+                f"(full ^ {_bit_mask('x', tx)} ^ {_bit_mask('y', ty)})",
+                (("x", tx, 1), ("y", ty, 1)), _profile(tx, ty))
     if isinstance(p, Le):
         # lhs <= rhs iff d + slope*m >= 0, d being rhs - lhs at m = 0
         l, r = p.lhs, p.rhs
         dn, dc = r.coeff_n - l.coeff_n, r.constant - l.constant
         slope = r.coeff_m - l.coeff_m
         if slope == 0:
-            mask = lambda w, n, full: full if dn * n + dc >= 0 else 0
+            mask = f"(full if {_affine(dn, 0, dc)} >= 0 else 0)"
         elif slope < 0:  # the low range m <= d
-            mask = lambda w, n, full: full & ((1 << max(dn * n + dc + 1, 0)) - 1)
-        else:  # the high range m >= -d: clear the k = max(-d, 0) low bits
-            mask = lambda w, n, full: full >> (k := max(-dn * n - dc, 0)) << k
-        return Lowered(lambda bit, n, m: dn * n + slope * m + dc >= 0, mask, (),
-                       _profile(l, r))
+            mask = f"(full & ((1 << {_clamp(dn, dc + 1)}) - 1))"
+        else:  # the high range m >= -d: clear the max(-d, 0) low bits
+            mask = f"(full & -(1 << {_clamp(-dn, -dc)}))"
+        return f"({_at(l)} <= {_at(r)})", mask, (), _profile(l, r)
     if isinstance(p, CountLe):
-        s, lo, hi, bd = "xy".index(p.side), p.lo, p.hi, p.bound
-        return Lowered(
-            lambda bit, n, m: (sum(bit[s](i) for i in range(lo.value(n, m), hi.value(n, m)))
-                               <= bd.value(n, m)),
-            None, ((p.side, hi, 0),), _profile(lo, hi, bd, refusal=(
-                "CountLe atoms have no periodicity threshold; use the relation's oracle")))
+        s, lo, hi, bd = "xy"["xy".index(p.side)], p.lo, p.hi, p.bound
+        return (f"(sum({s}(i) for i in range({_at(lo)}, {_at(hi)})) <= {_at(bd)})", None,
+                ((p.side, hi, 0),), _profile(lo, hi, bd, refusal=(
+                    "CountLe atoms have no periodicity threshold; use the relation's oracle")))
     raise ConfigError(f"not a predicate node: {p!r}")
 
 
-lower = functools.lru_cache(maxsize=256)(_lower)
+_HOLDS_SOURCE = """
+def holds(bit, n, m):
+    x, y = bit
+    return {holds}
+"""
+# mask, and the outer loop of the exact EF search with its bounds from _exact_bounds
+_EXACT_SOURCE = """
+def mask(w, n, full):
+    x, y = w
+    return {mask}
+
+def search(x, y, floor, mu, lift, outer):
+    for n in range(outer):
+        width = mu * n + lift
+        full = (1 << (width if width > floor else floor)) - 1
+        if {mask} == full:
+            return n
+    return None
+"""
+
+
+@functools.lru_cache(maxsize=256)
+def lower(p) -> Lowered:
+    """Lower the predicate p once and compile its parts; see Lowered."""
+    holds, mask, reads, profile = _lower(p)
+    source = _HOLDS_SOURCE.format(holds=holds)
+    if not profile[2]:
+        source += _EXACT_SOURCE.format(mask=mask)
+    namespace = {"__builtins__": {"max": max, "range": range, "sum": sum}}  # all they call
+    try:
+        exec(source, namespace)
+    except SyntaxError:  # the parser's nesting limit, near 190 levels
+        raise ConfigError("predicate nests too deep to compile") from None
+    return Lowered(namespace["holds"], namespace.get("mask"), namespace.get("search"),
+                   reads, profile)
 
 
 def use_bound(p, n: int, m: int) -> int:
@@ -404,7 +452,10 @@ def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
 # lowering's mask turns them into an int whose bit m is the predicate's truth
 # at (n, m).  A bit atom is a word's bit-int shifted right by cN*n + c (all
 # ones or none if cM = 0), an Le atom a low or high range of m.  The universal
-# holds iff all bits are set; the lowest zero bit refutes it.
+# holds iff all bits are set; the lowest zero bit refutes it.  The mask is an
+# expression generated from one template per predicate form, with only the
+# validated integers of the terms pasted in, and the lowering's search runs
+# the whole outer loop below over it as one compiled function per code.
 
 
 def _lowering(f) -> Lowered:
@@ -463,12 +514,7 @@ def _exact_ef_atom(low: Lowered, x, y) -> int | None:
     floor, mu, lift, outer = _exact_bounds(low, x, y)
     # positions read at n < outer stay below n + width(n) + kappa
     length = outer + max(floor, mu * outer + lift) + COEFF_CAP
-    w, mask = (_bits(x, length), _bits(y, length)), low.mask
-    for n in range(outer):
-        full = (1 << max(floor, mu * n + lift)) - 1
-        if mask(w, n, full) == full:
-            return n
-    return None
+    return low.search(_bits(x, length), _bits(y, length), floor, mu, lift, outer)
 
 
 def exists_forall_witness(f, x, y) -> int | None:

@@ -39,7 +39,7 @@ class StageView:
         self._informant = informant
         self._stage = stage
         self._bound = bound
-        self._overrides = informant_overrides or {}
+        self._overrides = {} if informant_overrides is None else informant_overrides
         self.reads = set()
 
     @property

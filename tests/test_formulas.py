@@ -64,7 +64,13 @@ def test_index_term_values():
 
 
 def test_index_term_validation():
-    for bad in ((9, 0, 0), (0, 9, 0), (0, 0, 9), (-1, 0, 0)):
+    class Int(int):
+        def __format__(self, spec):
+            return "x"
+
+    for bad in ((9, 0, 0), (0, 9, 0), (0, 0, 9), (-1, 0, 0),
+                (0.5, 1, 1), (0, 1.0, 0), (True, 0, 0), (0, 0, False), (0, Int(1), 0),
+                ("1", 0, 0)):
         with pytest.raises(ConfigError):
             IndexTerm(*bad)
 
@@ -136,19 +142,33 @@ def test_compile_matches_eval(p, x, y, n, m):
     assert compile_pred(p, x.bit, y.bit)(n, m) == eval_pred(p, x, y, n, m)
 
 
+class LoggedWord:
+    """A word that appends (side, position) to log on every bit read."""
+
+    def __init__(self, word, side, log):
+        self.word, self.side, self.log = word, side, log
+
+    def bit(self, i):
+        self.log.append((self.side, i))
+        return self.word.bit(i)
+
+
 @given(code_preds, words, words, st.integers(0, 6), st.integers(0, 6))
 def test_use_bound_covers_reads(p, x, y, n, m):
-    positions = []
-
-    def wrap(bit):
-        def f(i):
-            positions.append(i)
-            return bit(i)
-        return f
-
-    compile_pred(p, wrap(x.bit), wrap(y.bit))(n, m)
+    log = []
+    compile_pred(p, LoggedWord(x, "x", log).bit, LoggedWord(y, "y", log).bit)(n, m)
     bound = use_bound(p, n, m)
-    assert all(i < bound for i in positions)
+    assert all(i < bound for _, i in log)
+
+
+@given(code_preds, words, words, st.integers(0, 6), st.integers(0, 6))
+def test_compile_reads_what_eval_pred_reads_in_its_order(p, x, y, n, m):
+    """Session read logs and bitsReadCount rest on the lazy path reading the
+    reference's positions: and, or short-circuit, left operand first."""
+    compiled, reference = [], []
+    compile_pred(p, LoggedWord(x, "x", compiled).bit, LoggedWord(y, "y", compiled).bit)(n, m)
+    eval_pred(p, LoggedWord(x, "x", reference), LoggedWord(y, "y", reference), n, m)
+    assert compiled == reference
 
 
 # -------------------------------------------------------------- formulas
@@ -292,6 +312,27 @@ def test_least_refutation_matches_eval_pred_at_every_m(p, x, y, n):
     bound = exact_inner_bound(p, x, y, n)
     first = next((m for m in range(bound) if not eval_pred(p, x, y, n, m)), None)
     assert least_refutation(p, x, y, n) == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(range_preds, sized_words, sized_words)
+def test_exact_witness_is_the_first_n_surviving_its_inner_bound(p, x, y):
+    """The generated outer loop, across empty, partial and full le ranges."""
+    ef = ExistsForall(p)
+
+    def survives(n):
+        return all(eval_pred(p, x, y, n, m) for m in range(exact_inner_bound(ef, x, y, n)))
+
+    first = next((n for n in range(exact_outer_bound(ef, x, y)) if survives(n)), None)
+    assert exists_forall_witness(ef, x, y) == first
+
+
+def test_lower_rejects_a_predicate_too_deep_to_compile():
+    deep = BitOf("x", TERM_M)
+    for _ in range(300):
+        deep = Not(deep)
+    with pytest.raises(ConfigError):
+        compile_pred(deep, Word("", "0").bit, Word("", "0").bit)
 
 
 def test_exact_rejects_unsupported_atoms():

@@ -53,6 +53,15 @@ def test_stage_view_logs_and_overrides():
     assert view.reads == {("t", 3), ("i", 0, 1), ("i", 0, 2)}
 
 
+def test_stage_view_keeps_the_callers_empty_override_mapping():
+    overrides = {}
+    view = StageView(W("|0"), Informant.explicit([W("|1")]), 0, 5,
+                     informant_overrides=overrides)
+    overrides[(0, 2)] = 0
+    assert view.informant_bit(0, 2) == 0
+    assert view.informant_bit(0, 1) == 1
+
+
 def test_stage_view_enforces_the_bound():
     view = StageView(W("|0"), Informant.explicit([W("|1")]), 3, 5)
     with pytest.raises(UseViolation) as exc:
