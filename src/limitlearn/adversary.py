@@ -139,10 +139,7 @@ class _GrowingTargetView:
         self._stage = stage
         self._bound = bound
         self._on_read = on_read
-
-    @property
-    def informant_size(self):
-        return self._informant.size
+        self.informant_size = informant.size
 
     def _check(self, pos):
         if pos >= self._bound:
@@ -151,12 +148,14 @@ class _GrowingTargetView:
             raise ConfigError(f"negative position {pos}")
 
     def target_bit(self, pos):
-        self._check(pos)
+        if not 0 <= pos < self._bound:
+            self._check(pos)
         self._on_read(pos)
         return 1 if pos in self._ones else 0
 
     def informant_bit(self, j, pos):
-        self._check(pos)
+        if not 0 <= pos < self._bound:
+            self._check(pos)
         w = self._informant.word(j)
         if w is None:
             raise ConfigError(f"informant index {j} out of range")
@@ -354,14 +353,16 @@ def bc_class_membership_procedure(bc: Learner, relation, y: Word, b, z: Word,
         while front < touched and slot(front)[0] == "pin":
             front += 1
         before = [slot(j) for j in range(touched)]
+        # later_initialized[j]: some slot past j, below touched, is pinned or committed
+        later_initialized = [False] * touched
+        for j in range(touched - 1, front, -1):
+            kind, t = before[j]
+            later_initialized[j - 1] = later_initialized[j] or kind == "pin" or t > 0
         for j in range(front, touched):
             kind, t = before[j]
             if kind != "open":
                 continue
-            later_initialized = any(
-                before[i][0] == "pin" or before[i][1] > 0 for i in range(j + 1, touched)
-            )
-            if later_initialized or j <= i_s:
+            if later_initialized[j] or j <= i_s:
                 n_j = max(t, u) if j + 1 <= s else t
                 slots[j] = ("pin", b_checked(n_j))
 

@@ -139,10 +139,20 @@ class Or:
 class ExistsForall:
     pred: object
 
+    @functools.cached_property
+    def lowered(self) -> Lowered:
+        """lower(pred), built once per node: the atom holds iff its search finds an n."""
+        return lower(self.pred)
+
 
 @dataclass(frozen=True)
 class ForallExists:
     pred: object
+
+    @functools.cached_property
+    def lowered(self) -> Lowered:
+        """lower(Not(pred)), built once per node: the atom fails iff its search finds an n."""
+        return lower(Not(self.pred))
 
 
 @dataclass(frozen=True)
@@ -221,9 +231,11 @@ class Lowered(NamedTuple):
     code (Jones, Gomard and Sestoft, 1993).  Only validated IndexTerm ints
     and fixed names enter the source, never text from the caller.
 
-    holds(bit, n, m) is the truth at (n, m) over the bit sources
-    bit = (xbit, ybit), called lazily: and, or short-circuit left to right
-    as in eval_pred, so it reads the positions eval_pred reads, in its order.
+    holds(bit, n, lo, hi) is true iff the predicate holds at (n, m) for every
+    m in [lo, hi), over the bit sources bit = (xbit, ybit).  It tests m in
+    ascending order and returns at the first false m, and it reads lazily:
+    and, or short-circuit left to right as in eval_pred, so at each m it
+    reads the positions eval_pred reads, in its order.
     mask(w, n, full) is the int over the word bit-ints w = (xb, yb) whose
     bit m is the truth at (n, m), for every m below the width of full, given
     that xb and yb hold every position the terms reach there.
@@ -316,9 +328,12 @@ def _lower(p):
 
 
 _HOLDS_SOURCE = """
-def holds(bit, n, m):
+def holds(bit, n, lo, hi):
     x, y = bit
-    return {holds}
+    for m in range(lo, hi):
+        if not {holds}:
+            return False
+    return True
 """
 # mask, and the outer loop of the exact EF search with its bounds from _exact_bounds
 _EXACT_SOURCE = """
@@ -359,7 +374,8 @@ def use_bound(p, n: int, m: int) -> int:
 
 def compile_pred(p, xbit, ybit):
     """Compile to a closure (n, m) -> bool over the two bit sources."""
-    return functools.partial(lower(p).holds, (xbit, ybit))
+    holds, bit = lower(p).holds, (xbit, ybit)
+    return lambda n, m: holds(bit, n, m, m + 1)
 
 
 def pred_sides(p) -> set[str]:
@@ -404,15 +420,15 @@ def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if isinstance(f, ExistsForall):
-        holds, bit = lower(f.pred).holds, (x.bit, y.bit)
+        holds, bit = f.lowered.holds, (x.bit, y.bit)
         for n in range(horizon):
-            if all(holds(bit, n, m) for m in range(horizon)):
+            if holds(bit, n, 0, horizon):
                 return ThreeValued.confirmed(n, horizon)
         return ThreeValued.refuted(horizon)
     if isinstance(f, ForallExists):
-        holds, bit = lower(f.pred).holds, (x.bit, y.bit)
+        holds, bit = f.lowered.holds, (x.bit, y.bit)  # not pred at every m: no inner witness
         for n in range(horizon):
-            if not any(holds(bit, n, m) for m in range(horizon)):
+            if holds(bit, n, 0, horizon):
                 return ThreeValued.undecided(horizon)
         return ThreeValued.confirmed(None, horizon)
     if isinstance(f, (FAnd, FOr)):
@@ -462,7 +478,7 @@ def _lowering(f) -> Lowered:
     """The lowering of a predicate, of an EF atom's predicate, or f if lowered."""
     if isinstance(f, Lowered):
         return f
-    return lower(f.pred if isinstance(f, ExistsForall) else f)
+    return f.lowered if isinstance(f, ExistsForall) else lower(f)
 
 
 def _exact_bounds(low: Lowered, x, y):
@@ -520,15 +536,15 @@ def _exact_ef_atom(low: Lowered, x, y) -> int | None:
 def exists_forall_witness(f, x, y) -> int | None:
     if not isinstance(f, ExistsForall):
         raise ConfigError("witness search needs a single EF atom")
-    return _exact_ef_atom(lower(f.pred), x, y)
+    return _exact_ef_atom(f.lowered, x, y)
 
 
 def eval_exact_ep(f, x, y) -> bool:
     """Exact two-level truth on eventually periodic words."""
     if isinstance(f, ExistsForall):
-        return _exact_ef_atom(lower(f.pred), x, y) is not None
+        return _exact_ef_atom(f.lowered, x, y) is not None
     if isinstance(f, ForallExists):
-        return _exact_ef_atom(lower(Not(f.pred)), x, y) is None
+        return _exact_ef_atom(f.lowered, x, y) is None
     if isinstance(f, FAnd):
         return eval_exact_ep(f.left, x, y) and eval_exact_ep(f.right, x, y)
     if isinstance(f, FOr):

@@ -8,13 +8,14 @@ determinism plus the schedule realizes the continuity contract.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import words
 from .errors import ConfigError, ContractViolation, natural, read_text
-from .formulas import ExistsForall, lower, parse_formula, parse_formulas, pred_sides
+from .formulas import ExistsForall, parse_formula, parse_formulas, pred_sides
 from .words import Word
 
 __all__ = [
@@ -57,6 +58,7 @@ class Informant:
         if (explicit_words is None) == (fn is None):
             raise ConfigError("informant needs exactly one of a word list or a function")
         self._words = None if explicit_words is None else tuple(explicit_words)
+        self.size = None if self._words is None else len(self._words)  # None for a generator
         self._fn = fn
         self._cache = {}
 
@@ -74,10 +76,6 @@ class Informant:
     @staticmethod
     def finite_support() -> "Informant":
         return Informant(fn=words.finite_support_word)
-
-    @property
-    def size(self) -> int | None:
-        return None if self._words is None else len(self._words)
 
     @property
     def is_explicit(self) -> bool:
@@ -125,6 +123,15 @@ def _stage_use(lowerings) -> tuple:
                   for low in lowerings for _, t, d in low.reads})
 
 
+def _use_at(use: tuple, stage: int) -> int:
+    """The largest a*stage + b over the pairs of _stage_use, or 0."""
+    bound = 0
+    for a, b in use:
+        if a * stage + b > bound:
+            bound = a * stage + b
+    return bound
+
+
 class SynthLearner(Learner):
     """Learner synthesized from a single EF code.
 
@@ -141,7 +148,7 @@ class SynthLearner(Learner):
             raise ConfigError("synthesizer needs a single exists-forall atom")
         self.code = code
         self.pred = code.pred
-        self.lowered = lower(code.pred)
+        self.lowered = code.lowered
         self._use = _stage_use([self.lowered])
         self.informant = informant
 
@@ -150,26 +157,27 @@ class SynthLearner(Learner):
         return (0, 0)
 
     def use_bound_at(self, stage: int) -> int:
-        return max((a * stage + b for a, b in self._use), default=0)
+        return _use_at(self._use, stage)
 
     def pointer_of(self, state):
         return state[0]
 
     def step(self, state, stage: int, view):
         k, next_m = state
+        a, b = cantor_unpair(k)
+        if k >= stage:
+            return state, a
         size = view.informant_size
-        holds = self.lowered.holds
-        while k < stage:
-            a, b = cantor_unpair(k)
-            if size is None or a < size:
-                bit = (view.target_bit, lambda i, a=a: view.informant_bit(a, i))
-                if all(holds(bit, b, m) for m in range(next_m, stage)):
-                    next_m = stage
-                    break
+        holds, target_bit, informant_bit = self.lowered.holds, view.target_bit, view.informant_bit
+        while True:
+            if (size is None or a < size) and holds(
+                    (target_bit, functools.partial(informant_bit, a)), b, next_m, stage):
+                return (k, stage), a
             k += 1
             next_m = 0
-        a, _ = cantor_unpair(k)
-        return (k, next_m), a
+            a, b = (a - 1, b + 1) if a else (b + 1, 0)  # the pair cantor_unpair(k)
+            if k == stage:
+                return (k, 0), a
 
 
 class SeparatorLearner(Learner):
@@ -189,19 +197,17 @@ class SeparatorLearner(Learner):
             if pred_sides(code.pred) - {"x"}:
                 raise ConfigError("separator codes must mention only the target side x")
         self.codes = set_codes
-        self.lowered = tuple(lower(c.pred) for c in set_codes)
+        self.lowered = tuple(c.lowered for c in set_codes)
         self._use = _stage_use(self.lowered)
 
     def use_bound_at(self, stage: int) -> int:
-        return max((a * stage + b for a, b in self._use), default=0)
+        return _use_at(self._use, stage)
 
     def step(self, state, stage: int, view):
         bit = (view.target_bit, view.target_bit)
         for idx in range(stage):
             i, n = cantor_unpair(idx)
-            if i >= len(self.codes):
-                continue
-            if all(self.lowered[i].holds(bit, n, m) for m in range(stage)):
+            if i < len(self.codes) and self.lowered[i].holds(bit, n, 0, stage):
                 return state, i
         return state, stage
 

@@ -33,6 +33,9 @@ __all__ = [
 class StageView:
     """Query window for one stage: enforces the use bound, logs every read."""
 
+    __slots__ = ("_target", "_informant", "_stage", "_bound", "_overrides", "reads",
+                 "informant_size")
+
     def __init__(self, target: Word, informant: Informant, stage: int, bound: int,
                  informant_overrides=None):
         self._target = target
@@ -41,24 +44,24 @@ class StageView:
         self._bound = bound
         self._overrides = {} if informant_overrides is None else informant_overrides
         self.reads = set()
-
-    @property
-    def informant_size(self):
-        return self._informant.size
+        self.informant_size = informant.size
 
     def _check(self, pos: int):
+        """Raise for a position outside [0, bound): past the bound first."""
         if pos >= self._bound:
             raise UseViolation(self._stage, pos, self._bound)
         if pos < 0:
             raise ConfigError(f"negative position {pos}")
 
     def target_bit(self, pos: int) -> int:
-        self._check(pos)
+        if not 0 <= pos < self._bound:
+            self._check(pos)
         self.reads.add(("t", pos))
         return self._target.bit(pos)
 
     def informant_bit(self, j: int, pos: int) -> int:
-        self._check(pos)
+        if not 0 <= pos < self._bound:
+            self._check(pos)
         self.reads.add(("i", j, pos))
         if (j, pos) in self._overrides:
             return self._overrides[(j, pos)]
@@ -104,13 +107,13 @@ def run_session(learner: Learner, target: Word, informant: Informant, horizon: i
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     state = learner.fresh_state()
+    step, pointer_of, use_bound_at = learner.step, learner.pointer_of, learner.use_bound_at
     hyps, pointers, reads = [], [], []
     last_pointer = None
     for stage in range(horizon + 1):
-        view = StageView(target, informant, stage, learner.use_bound_at(stage),
-                         informant_overrides)
-        state, hyp = learner.step(state, stage, view)
-        pointer = learner.pointer_of(state)
+        view = StageView(target, informant, stage, use_bound_at(stage), informant_overrides)
+        state, hyp = step(state, stage, view)
+        pointer = pointer_of(state)
         if pointer is not None and last_pointer is not None and pointer < last_pointer:
             raise ContractViolation(
                 f"stage {stage}: pointer retreated from {last_pointer} to {pointer}")

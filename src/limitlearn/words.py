@@ -58,11 +58,13 @@ class Word:
         object.__setattr__(self, "per", per)
 
     def bit(self, i: int) -> int:
-        if i < len(self.pre):
+        pre = self.pre
+        if i < len(pre):
             if i < 0:
                 raise ConfigError(f"negative bit position {i}")
-            return int(self.pre[i])
-        return int(self.per[(i - len(self.pre)) % len(self.per)])
+            return 1 if pre[i] == "1" else 0
+        per = self.per
+        return 1 if per[(i - len(pre)) % len(per)] == "1" else 0
 
     def prefix(self, n: int) -> str:
         return "".join(str(self.bit(i)) for i in range(n))

@@ -41,6 +41,7 @@ from limitlearn.formulas import (
     format_formula,
     formula_size,
     least_refutation,
+    lower,
     parse_formula,
     parse_formulas,
     use_bound,
@@ -161,13 +162,18 @@ def test_use_bound_covers_reads(p, x, y, n, m):
     assert all(i < bound for _, i in log)
 
 
-@given(code_preds, words, words, st.integers(0, 6), st.integers(0, 6))
-def test_compile_reads_what_eval_pred_reads_in_its_order(p, x, y, n, m):
-    """Session read logs and bitsReadCount rest on the lazy path reading the
-    reference's positions: and, or short-circuit, left operand first."""
+@given(code_preds, words, words, st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+def test_compile_reads_what_eval_pred_reads_in_its_order(p, x, y, n, lo, span):
+    """Session read logs and bitsReadCount rest on the lazy range test reading
+    the reference's positions: and, or short-circuit, left operand first,
+    m = lo, lo+1, ... in turn, and nothing past the first false m."""
+    hi = lo + span
     compiled, reference = [], []
-    compile_pred(p, LoggedWord(x, "x", compiled).bit, LoggedWord(y, "y", compiled).bit)(n, m)
-    eval_pred(p, LoggedWord(x, "x", reference), LoggedWord(y, "y", reference), n, m)
+    bit = (LoggedWord(x, "x", compiled).bit, LoggedWord(y, "y", compiled).bit)
+    got = lower(p).holds(bit, n, lo, hi)
+    lx, ly = LoggedWord(x, "x", reference), LoggedWord(y, "y", reference)
+    first_false = next((m for m in range(lo, hi) if not eval_pred(p, lx, ly, n, m)), None)
+    assert got == (first_false is None)
     assert compiled == reference
 
 

@@ -6,8 +6,10 @@ Stage machines are driven here through an unrestricted view so their
 hypothesis streams can be frozen independently of the session runner.
 """
 
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitlearn.errors import ConfigError, ContractViolation
@@ -18,6 +20,7 @@ from limitlearn.formulas import (
     ForallExists,
     Not,
     TERM_N,
+    eval_pred,
     use_bound,
 )
 from limitlearn.learners import (
@@ -41,7 +44,10 @@ from limitlearn.learners import (
     prefix_reduction,
 )
 from limitlearn.relations import e0_code, id_code, make_relation
+from limitlearn.simulation import run_session
+from limitlearn.words import Word
 from limitlearn.words import parse_word as W
+from test_formulas import code_preds
 
 
 class FreeView:
@@ -164,6 +170,46 @@ def test_synth_without_size_never_skips():
     # every pair is refuted by bit 0, so the pointer climbs one pair per stage
     assert l.pointer_of(state) == 7
     assert h == cantor_unpair(7)[0]
+
+
+class ReferenceSynthLearner(SynthLearner):
+    """The pair walk as first written: cantor_unpair for every pair tested and
+    once more for the result, and eval_pred at one m at a time."""
+
+    def step(self, state, stage, view):
+        k, next_m = state
+        size = view.informant_size
+        x = SimpleNamespace(bit=view.target_bit)
+        while k < stage:
+            a, b = cantor_unpair(k)
+            if size is None or a < size:
+                y = SimpleNamespace(bit=lambda i, a=a: view.informant_bit(a, i))
+                if all(eval_pred(self.pred, x, y, b, m) for m in range(next_m, stage)):
+                    next_m = stage
+                    break
+            k += 1
+            next_m = 0
+        a, _ = cantor_unpair(k)
+        return (k, next_m), a
+
+
+small_words = st.builds(Word, st.text("01", max_size=4), st.text("01", min_size=1, max_size=3))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.sampled_from([id_code(), e0_code()]), st.builds(ExistsForall, code_preds)),
+       small_words, st.lists(small_words, min_size=1, max_size=8), st.booleans(),
+       st.integers(1, 300))
+def test_synth_step_matches_the_reference_walk(code, target, ws, generated, horizon):
+    """Sessions see the same hypotheses, pointers and per-stage reads, over an
+    explicit informant of 1 to 8 words or a generator one of no size."""
+    informant = (Informant.from_function(lambda j: ws[j % len(ws)]) if generated
+                 else Informant.explicit(ws))
+    got = run_session(SynthLearner(code, informant), target, informant, horizon)
+    want = run_session(ReferenceSynthLearner(code, informant), target, informant, horizon)
+    assert got.hypotheses == want.hypotheses
+    assert got.pointers == want.pointers
+    assert got.reads == want.reads
 
 
 # --------------------------------------------------------------- separators

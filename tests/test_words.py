@@ -88,6 +88,7 @@ def test_canonicalization_preserves_bits(pre, per):
     w = Word(pre, per)
     for i in range(len(pre) + 2 * len(per) + 2):
         assert w.bit(i) == brute_bit(pre, per, i)
+        assert type(w.bit(i)) is int  # Word.prefix prints str(bit): a bool would print True
 
 
 @given(bits, periods)
