@@ -508,9 +508,8 @@ def exact_outer_bound(f, x, y) -> int:
 
 
 def _bits(w, length: int) -> int:
-    """The int whose bit i is w.bit(i), for every i < length."""
-    s = w.pre + w.per * (max(length - len(w.pre), 0) // len(w.per) + 1)
-    return int(s[::-1], 2)
+    """The int whose bit i is w.bit(i), for every i < length (length > 0)."""
+    return int(w.prefix(length)[::-1], 2)
 
 
 def least_refutation(pred, x, y, n: int) -> int | None:

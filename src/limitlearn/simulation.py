@@ -31,20 +31,18 @@ __all__ = [
 
 
 class StageView:
-    """Query window for one stage: enforces the use bound, logs every read."""
+    """Query window for one stage over the session's bit tables: enforces
+    the use bound, logs every read."""
 
-    __slots__ = ("_target", "_informant", "_stage", "_bound", "_overrides", "reads",
-                 "informant_size")
+    __slots__ = ("_target", "_rows", "_stage", "_bound", "reads", "informant_size")
 
-    def __init__(self, target: Word, informant: Informant, stage: int, bound: int,
-                 informant_overrides=None):
-        self._target = target
-        self._informant = informant
+    def __init__(self, target_table, rows, stage: int, bound: int, informant_size):
+        self._target = target_table
+        self._rows = rows
         self._stage = stage
         self._bound = bound
-        self._overrides = {} if informant_overrides is None else informant_overrides
         self.reads = set()
-        self.informant_size = informant.size
+        self.informant_size = informant_size
 
     def _check(self, pos: int):
         """Raise for a position outside [0, bound): past the bound first."""
@@ -57,18 +55,50 @@ class StageView:
         if not 0 <= pos < self._bound:
             self._check(pos)
         self.reads.add(("t", pos))
-        return self._target.bit(pos)
+        return self._target[pos]
 
     def informant_bit(self, j: int, pos: int) -> int:
         if not 0 <= pos < self._bound:
             self._check(pos)
         self.reads.add(("i", j, pos))
-        if (j, pos) in self._overrides:
-            return self._overrides[(j, pos)]
+        return self._rows[j][pos]
+
+
+class _InformantRows(dict):
+    """One session's informant bit tables by index, each built on first read.
+
+    Overrides, checked here, map (j, pos) to the bit that replaces bit pos of
+    row j.  Rows are `length` long, so an override past that is never read.
+    """
+
+    def __init__(self, informant: Informant, length: int, overrides):
+        super().__init__()
+        self._informant = informant
+        self._length = length
+        self._overrides = {}
+        size = informant.size
+        for key, bit in overrides.items():
+            j, pos = key if type(key) is tuple and len(key) == 2 else (None, None)
+            if not (type(j) is int and type(pos) is int and j >= 0 and pos >= 0
+                    and (size is None or j < size)):
+                raise ConfigError(f"informant override key {key!r} is not a pair (j, pos) "
+                                  "of an informant index and a natural position")
+            if type(bit) is not int or bit not in (0, 1):
+                raise ConfigError(f"informant override bit {bit!r} at {key} is not 0 or 1")
+            if pos < length:
+                self._overrides.setdefault(j, []).append((pos, bit))
+
+    def __missing__(self, j):
         w = self._informant.word(j)
         if w is None:
             raise ConfigError(f"informant index {j} out of range")
-        return w.bit(pos)
+        row = w.bit_table(self._length)
+        if j in self._overrides:
+            row = bytearray(row)
+            for pos, bit in self._overrides[j]:
+                row[pos] = bit
+        self[j] = row
+        return row
 
 
 @dataclass(frozen=True)
@@ -103,15 +133,25 @@ class SessionReport:
 
 def run_session(learner: Learner, target: Word, informant: Informant, horizon: int,
                 informant_overrides=None) -> SessionTrace:
-    """Run stages 0..horizon inclusive; deterministic given equal inputs."""
+    """Run stages 0..horizon inclusive; deterministic given equal inputs.
+
+    The learner's whole use schedule is read first, and every view of the
+    session answers from bit tables as long as its largest use bound.
+    `informant_overrides` maps (j, pos) to the bit that replaces bit pos of
+    informant word j; it is checked and fixed when the session starts.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    bounds = [learner.use_bound_at(s) for s in range(horizon + 1)]
+    length = max(bounds)
+    target_table = target.bit_table(length)
+    rows = _InformantRows(informant, length, informant_overrides or {})
     state = learner.fresh_state()
-    step, pointer_of, use_bound_at = learner.step, learner.pointer_of, learner.use_bound_at
+    step, pointer_of = learner.step, learner.pointer_of
     hyps, pointers, reads = [], [], []
     last_pointer = None
-    for stage in range(horizon + 1):
-        view = StageView(target, informant, stage, use_bound_at(stage), informant_overrides)
+    for stage, bound in enumerate(bounds):
+        view = StageView(target_table, rows, stage, bound, informant.size)
         state, hyp = step(state, stage, view)
         pointer = pointer_of(state)
         if pointer is not None and last_pointer is not None and pointer < last_pointer:

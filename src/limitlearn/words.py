@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _primitive_root(s: str) -> str:
     """Shortest u such that s is a power of u."""
     n = len(s)
@@ -67,7 +70,15 @@ class Word:
         return 1 if per[(i - len(pre)) % len(per)] == "1" else 0
 
     def prefix(self, n: int) -> str:
-        return "".join(str(self.bit(i)) for i in range(n))
+        """Bits 0..n-1 as a string of 0s and 1s; "" for n <= 0."""
+        if n <= 0:
+            return ""
+        pre, per = self.pre, self.per
+        return (pre + per * (max(n - len(pre), 0) // len(per) + 1))[:n]
+
+    def bit_table(self, n: int) -> bytes:
+        """Bits 0..n-1 as bytes, so that bit_table(n)[i] == bit(i)."""
+        return self.prefix(n).encode().translate(_BIT_BYTES)
 
     @property
     def size(self) -> int:

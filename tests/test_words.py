@@ -91,6 +91,16 @@ def test_canonicalization_preserves_bits(pre, per):
         assert type(w.bit(i)) is int  # Word.prefix prints str(bit): a bool would print True
 
 
+@given(bits, periods, st.data())
+def test_prefix_and_bit_table_spell_the_bits(pre, per, data):
+    w = Word(pre, per)
+    n = data.draw(st.integers(-3, 3 * w.size))
+    assert w.prefix(n) == "".join(str(w.bit(i)) for i in range(n))
+    table = w.bit_table(n)
+    assert type(table) is bytes
+    assert list(table) == [w.bit(i) for i in range(n)]
+
+
 @given(bits, periods)
 def test_canonical_form_minimal(pre, per):
     w = Word(pre, per)
