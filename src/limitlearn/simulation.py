@@ -142,7 +142,7 @@ def run_session(learner: Learner, target: Word, informant: Informant, horizon: i
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    bounds = [learner.use_bound_at(s) for s in range(horizon + 1)]
+    bounds = list(map(learner.use_bound_at, range(horizon + 1)))
     length = max(bounds)
     target_table = target.bit_table(length)
     rows = _InformantRows(informant, length, informant_overrides or {})
