@@ -94,6 +94,8 @@ def force_mind_change(learner: Learner, c: Condition, current_hyp: int,
                       depth_budget: int, stage_budget: int):
     """Search all extensions of c, shortest first, for one that makes the
     learner emit something other than current_hyp within the stage budget."""
+    if depth_budget < 0 or stage_budget < 0:
+        raise ConfigError(f"negative budget: depth {depth_budget}, stages {stage_budget}")
     streams = 1 + len(c.informant_prefixes)
     horizon = max(stage_budget, 1)
     for total in range(depth_budget + 1):
@@ -180,6 +182,8 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
     """
     if relation.name not in ("sim0", "sim1"):
         raise ConfigError(f"diagonalization targets sim0 or sim1, not {relation.name}")
+    if patience < 0 or rounds < 0:
+        raise ConfigError(f"negative budget: patience {patience}, rounds {rounds}")
     informant = inf_family_informant()
     one_rep = informant.word(0)
 

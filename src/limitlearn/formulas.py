@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError, UnsupportedAtomError
+from .errors import ConfigError, UnsupportedAtomError, natural
 
 COEFF_CAP = 8
 
@@ -46,7 +46,6 @@ __all__ = [
     "least_refutation",
     "exists_forall_witness",
     "formula_size",
-    "pred_sides",
     "parse_formula",
     "parse_formulas",
     "format_formula",
@@ -378,10 +377,6 @@ def compile_pred(p, xbit, ybit):
     return lambda n, m: holds(bit, n, m, m + 1)
 
 
-def pred_sides(p) -> set[str]:
-    return {side for side, _, _ in lower(p).reads}
-
-
 # ------------------------------------------------------------ formula level
 
 
@@ -390,18 +385,6 @@ class ThreeValued:
     kind: str
     witness: int | None
     horizon: int
-
-    @staticmethod
-    def confirmed(witness, horizon):
-        return ThreeValued("CONFIRMED", witness, horizon)
-
-    @staticmethod
-    def refuted(horizon):
-        return ThreeValued("REFUTED_UP_TO", None, horizon)
-
-    @staticmethod
-    def undecided(horizon):
-        return ThreeValued("UNDECIDED", None, horizon)
 
     @property
     def is_confirmed(self):
@@ -423,24 +406,24 @@ def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
         holds, bit = f.lowered.holds, (x.bit, y.bit)
         for n in range(horizon):
             if holds(bit, n, 0, horizon):
-                return ThreeValued.confirmed(n, horizon)
-        return ThreeValued.refuted(horizon)
+                return ThreeValued("CONFIRMED", n, horizon)
+        return ThreeValued("REFUTED_UP_TO", None, horizon)
     if isinstance(f, ForallExists):
         holds, bit = f.lowered.holds, (x.bit, y.bit)  # not pred at every m: no inner witness
         for n in range(horizon):
             if holds(bit, n, 0, horizon):
-                return ThreeValued.undecided(horizon)
-        return ThreeValued.confirmed(None, horizon)
+                return ThreeValued("UNDECIDED", None, horizon)
+        return ThreeValued("CONFIRMED", None, horizon)
     if isinstance(f, (FAnd, FOr)):
         a = eval_bounded(f.left, x, y, horizon)
         b = eval_bounded(f.right, x, y, horizon)
         if a.kind == "UNDECIDED" or b.kind == "UNDECIDED":
-            return ThreeValued.undecided(horizon)
+            return ThreeValued("UNDECIDED", None, horizon)
         if isinstance(f, FAnd):
             ok = a.is_confirmed and b.is_confirmed
         else:
             ok = a.is_confirmed or b.is_confirmed
-        return ThreeValued.confirmed(None, horizon) if ok else ThreeValued.refuted(horizon)
+        return ThreeValued("CONFIRMED" if ok else "REFUTED_UP_TO", None, horizon)
     raise ConfigError(f"not a formula node: {f!r}")
 
 
@@ -584,16 +567,6 @@ def _read_sexp(tokens, pos, depth=0):
     return tok, pos + 1
 
 
-def _nat(tok) -> int:
-    try:
-        v = int(tok)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a natural number, got {tok!r}") from None
-    if v < 0:
-        raise ConfigError(f"expected a natural number, got {v}")
-    return v
-
-
 def _node_of_sexp(sx, kind: str):
     """The field of the given kind that the s-expression sx writes."""
     if kind == "s":
@@ -601,7 +574,7 @@ def _node_of_sexp(sx, kind: str):
     if kind == "t":
         if not (isinstance(sx, list) and len(sx) == 4 and sx[0] == "ix"):
             raise ConfigError(f"expected (ix cN cM c), got {sx!r}")
-        return IndexTerm(*map(_nat, sx[1:]))
+        return IndexTerm(*(natural(tok, "index term component") for tok in sx[1:]))
     forms, what = _LEVELS[kind]
     if not isinstance(sx, list) or not sx:
         raise ConfigError(f"expected a {what} form, got {sx!r}")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import words
 from .errors import ConfigError, ContractViolation, natural, read_text
-from .formulas import ExistsForall, parse_formula, parse_formulas, pred_sides
+from .formulas import ExistsForall, parse_formula, parse_formulas
 from .words import Word
 
 __all__ = [
@@ -196,7 +196,7 @@ class SeparatorLearner(Learner):
         for code in set_codes:
             if not isinstance(code, ExistsForall):
                 raise ConfigError("separator codes must be single exists-forall atoms")
-            if pred_sides(code.pred) - {"x"}:
+            if {side for side, _, _ in code.lowered.reads} - {"x"}:
                 raise ConfigError("separator codes must mention only the target side x")
         self.codes = set_codes
         self.lowered = tuple(c.lowered for c in set_codes)

@@ -69,6 +69,16 @@ def test_force_mind_change_exhaustion():
     assert repr(EXHAUSTED) == "EXHAUSTED"
 
 
+def test_force_mind_change_rejects_negative_budgets():
+    """A negative stage budget would slice the hypotheses from the end of the
+    list; budgets of 0 stay valid."""
+    c = Condition("", ("",))
+    for depth, stages in ((0, -1), (0, -2), (-1, 3)):
+        with pytest.raises(ConfigError):
+            force_mind_change(ConstantLearner(0), c, 1, depth, stages)
+    assert force_mind_change(ConstantLearner(0), c, 1, 0, 0) == ForcedExtension(c, 0)
+
+
 # ---------------------------------------------------------- diagonalization
 
 def test_inf_family_informant_slots():
@@ -109,6 +119,13 @@ def test_diagonalize_zero_rounds_is_vacuous():
     assert run.verdict == "FORCED" and run.forced_rounds == 0
     assert run.committed_target == W("|0")
     assert run.phase_log == () and run.mind_change_stages == ()
+
+
+def test_diagonalize_rejects_negative_budgets():
+    for patience, rounds in ((-5, -3), (8, -1), (-1, 2)):
+        with pytest.raises(ConfigError):
+            diagonalize_inf(ConstantLearner(1), SIM0, patience, rounds)
+    assert diagonalize_inf(ConstantLearner(0), SIM1, 0, 1).verdict == "LEARNER_STUCK"
 
 
 class OneReadLearner(Learner):

@@ -402,6 +402,10 @@ def test_parse_errors():
     ):
         with pytest.raises(ConfigError):
             parse_formula(bad)
+    # a negative or nested component is refused by errors.natural, which names it
+    for bad in ("(ef (eq (ix -1 1 0) (ix 0 1 0)))", "(ef (eq (ix (0) 1 0) (ix 0 1 0)))"):
+        with pytest.raises(ConfigError, match="index term component"):
+            parse_formula(bad)
 
 
 def test_parse_formula_rejects_two_formulas():

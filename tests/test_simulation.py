@@ -33,10 +33,10 @@ from limitlearn.simulation import (
     summarize,
     use_principle_check,
 )
-from limitlearn.formulas import ExistsForall
+from limitlearn.formulas import ExistsForall, eval_exact_ep
 from limitlearn.words import Word
 from limitlearn.words import parse_word as W
-from test_formulas import code_preds
+from test_formulas import code_preds, preds
 
 E0 = make_relation("e0")
 
@@ -314,6 +314,24 @@ def test_certificate_predicts_the_stable_suffix():
         tail = trace.hypotheses[cert.stabilization_stage:]
         assert set(tail) == {cert.limit_index}
     assert E0.decide(target, informant.word(cert.limit_index))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(ExistsForall, preds), small_words, st.lists(small_words, min_size=1, max_size=4))
+def test_certificates_on_random_codes(code, target, ws):
+    """Beyond id and e0: a certificate exists exactly when some informant word
+    is exactly related, its limit is such a word, and the session sits at the
+    limit from the stabilization stage on."""
+    informant = Informant.explicit(ws)
+    learner = SynthLearner(code, informant)
+    related = [eval_exact_ep(code, target, w) for w in ws]
+    cert = certify_convergence(learner, target)
+    assert (cert is not None) == any(related)
+    if cert is not None:
+        assert related[cert.limit_index]
+        stab = cert.stabilization_stage
+        trace = run_session(learner, target, informant, stab + 60)
+        assert set(trace.hypotheses[stab:]) == {cert.limit_index}
 
 
 def test_certificate_refutations_are_genuine():
