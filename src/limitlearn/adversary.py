@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import words
-from .errors import ConfigError, ContractViolation, UseViolation
+from .errors import ConfigError, ContractViolation
 from .formulas import And, BitOf, ExistsForall, Le, TERM_N, const_term, eval_exact_ep
 from .learners import (
     ConstantLearner,
@@ -21,7 +21,7 @@ from .learners import (
     SynthLearner,
 )
 from .relations import e0_code, id_code
-from .simulation import run_session
+from .simulation import check_read, run_session
 from .words import Word
 
 __all__ = [
@@ -133,31 +133,27 @@ def inf_family_informant() -> Informant:
 
 
 class _GrowingTargetView:
-    """Stage view over a target defined by a mutable set of one-positions."""
+    """Stage view over a target defined by a mutable set of one-positions;
+    `frontier` rises to one past each target position read."""
 
-    def __init__(self, ones, informant, stage, bound, on_read):
+    def __init__(self, ones, informant, stage, bound, frontier):
         self._ones = ones
         self._informant = informant
         self._stage = stage
         self._bound = bound
-        self._on_read = on_read
+        self.frontier = frontier
         self.informant_size = informant.size
-
-    def _check(self, pos):
-        if pos >= self._bound:
-            raise UseViolation(self._stage, pos, self._bound)
-        if pos < 0:
-            raise ConfigError(f"negative position {pos}")
 
     def target_bit(self, pos):
         if not 0 <= pos < self._bound:
-            self._check(pos)
-        self._on_read(pos)
+            check_read(self._stage, pos, self._bound)
+        if pos >= self.frontier:
+            self.frontier = pos + 1
         return 1 if pos in self._ones else 0
 
     def informant_bit(self, j, pos):
         if not 0 <= pos < self._bound:
-            self._check(pos)
+            check_read(self._stage, pos, self._bound)
         w = self._informant.word(j)
         if w is None:
             raise ConfigError(f"informant index {j} out of range")
@@ -191,27 +187,21 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
     frontier = 0
     state = learner.fresh_state()
     stage = 0
-    prev_hyp = None
+    hyp = None
     mind_changes = []
     phase_log = []
-
-    def step_once():
-        nonlocal state, stage, prev_hyp, frontier
-        bound = learner.use_bound_at(stage)
-        reads = []
-        view = _GrowingTargetView(ones, informant, stage, bound, reads.append)
-        state, hyp = learner.step(state, stage, view)
-        frontier = max([frontier] + [p + 1 for p in reads])
-        if prev_hyp is not None and hyp != prev_hyp:
-            mind_changes.append(stage)
-        prev_hyp = hyp
-        stage += 1
-        return hyp
 
     for r in range(rounds):
         fed = 0
         while True:
-            hyp = step_once()
+            view = _GrowingTargetView(ones, informant, stage, learner.use_bound_at(stage),
+                                      frontier)
+            prev_hyp = hyp
+            state, hyp = learner.step(state, stage, view)
+            frontier = view.frontier
+            if prev_hyp is not None and hyp != prev_hyp:
+                mind_changes.append(stage)
+            stage += 1
             if hyp != 0:
                 break
             fed += 1
@@ -224,10 +214,11 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
                 phase_log.append(f"round {r}: hypothesis parked at 0 past patience {patience}")
                 return AdversaryRun(witness, tuple(phase_log), tuple(mind_changes),
                                     "LEARNER_STUCK", None, witness)
-        pos = max(frontier, (max(ones) + 1) if ones else 0)
-        ones.add(pos)
-        frontier = pos + 1
-        phase_log.append(f"round {r}: left 0 after {fed} zero-fed stages, committed 1 at {pos}")
+        # every committed one sits below the frontier, so this one is past them all
+        ones.add(frontier)
+        phase_log.append(f"round {r}: left 0 after {fed} zero-fed stages, "
+                         f"committed 1 at {frontier}")
+        frontier += 1
 
     committed = _word_from_ones(ones)
     return AdversaryRun(committed, tuple(phase_log), tuple(mind_changes),
@@ -292,12 +283,16 @@ def bc_class_membership_procedure(bc: Learner, relation, y: Word, b, z: Word,
                                   horizon: int) -> MembershipRun:
     """Staged membership test for z against y's class, driven by a BC learner.
 
-    The informant starts as (z, y, y, ...).  While the fresh-run hypothesis
-    stays at 0, unpinned slots commit longer prefixes of y; when it moves,
-    slots at or beyond the first unpinned index are punished: pinned forever
-    to a b(n) that shares the committed prefix but is outside the class.
-    Related z lets the hypothesis rest at 0; unrelated z keeps the punishment
-    front marching, so the final quarter of the window cannot be all zeros.
+    The informant reads z at index 0, and at index j + 1 it reads `pins[j]`
+    once slot j is pinned, else y.  Stage s takes the hypothesis i_s of a
+    fresh run, and u is the use bound at s.  While i_s stays at 0, every open
+    slot below s commits u bits of y.  When it moves, the slot range widens to
+    cover i_s and s, `last` is its highest pinned or committed slot, and each
+    open slot j with j < last or j <= i_s is pinned forever to b(n), where n
+    is the committed length, raised to u when j < s.  So b(n) keeps every bit
+    of y a run was promised, but lies outside y's class.  Related z lets the
+    hypothesis rest at 0; unrelated z keeps the pins marching, so the final
+    quarter of the window cannot be all zeros.
     """
     if horizon < 4:
         raise ConfigError("membership procedure needs horizon at least 4")
@@ -317,58 +312,29 @@ def bc_class_membership_procedure(bc: Learner, relation, y: Word, b, z: Word,
     for n in range(horizon + 1):
         b_checked(n)
 
-    # slot j describes informant index j+1: ("open", committed prefix length) or ("pin", word)
-    slots: list = []
-
-    def slot(j: int):
-        while len(slots) <= j:
-            slots.append(("open", 0))
-        return slots[j]
-
-    def snapshot() -> Informant:
-        frozen = tuple(slots)
-
-        def at(j: int) -> Word:
-            if j == 0:
-                return z
-            if j - 1 < len(frozen) and frozen[j - 1][0] == "pin":
-                return frozen[j - 1][1]
-            return y
-
-        return Informant.from_function(at)
-
+    pins: dict[int, Word] = {}
+    commit: dict[int, int] = {}       # open slot -> committed prefix length of y
+    width = 0
     values = []
     for s in range(horizon):
-        trace = run_session(bc, y, snapshot(), max(s, 1))
-        i_s = trace.hypotheses[s]
+        # fresh each stage: an informant caches the words it returns
+        informant = Informant.from_function(lambda j: z if j == 0 else pins.get(j - 1, y))
+        i_s = run_session(bc, y, informant, max(s, 1)).hypotheses[s]
         values.append(i_s)
 
         u = bc.use_bound_at(s)
-        calm = s == 0 or (i_s == 0 and values[s - 1] == 0)
-        if calm:
+        if s == 0 or (i_s == 0 and values[s - 1] == 0):
             for j in range(s):
-                kind, t = slot(j)
-                if kind == "open":
-                    slots[j] = ("open", max(t, u))
+                if j not in pins:
+                    commit[j] = max(commit.get(j, 0), u)
             continue
 
-        touched = max(len(slots), i_s + 1, s)
-        front = 0
-        while front < touched and slot(front)[0] == "pin":
-            front += 1
-        before = [slot(j) for j in range(touched)]
-        # later_initialized[j]: some slot past j, below touched, is pinned or committed
-        later_initialized = [False] * touched
-        for j in range(touched - 1, front, -1):
-            kind, t = before[j]
-            later_initialized[j - 1] = later_initialized[j] or kind == "pin" or t > 0
-        for j in range(front, touched):
-            kind, t = before[j]
-            if kind != "open":
-                continue
-            if later_initialized[j] or j <= i_s:
-                n_j = max(t, u) if j + 1 <= s else t
-                slots[j] = ("pin", b_checked(n_j))
+        width = max(width, i_s + 1, s)
+        last = max((j for j in range(width) if j in pins or commit.get(j, 0) > 0), default=-1)
+        for j in range(width):
+            if j not in pins and (j < last or j <= i_s):
+                t = commit.pop(j, 0)
+                pins[j] = b_checked(max(t, u) if j < s else t)
 
     quarter = range(3 * horizon // 4, horizon)
     flag = all(values[s] == 0 for s in quarter)

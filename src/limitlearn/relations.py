@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import words
-from .errors import ConfigError
+from .errors import ConfigError, natural
 from .formulas import (
     TERM_M,
     TERM_N,
@@ -79,15 +79,11 @@ class TreeSpec:
     def __post_init__(self):
         for node in self.nodes:
             _check_nat_tuple(node, "node")
-        gen_prefixes = set()
         for u, v in self.generators:
             _check_nat_tuple(u, "generator stem")
             _check_nat_tuple(v, "generator cycle")
             if not v:
                 raise ConfigError("generator cycle must be nonempty")
-            labels = _branch_labels((u, v), len(u) + len(v) + 1)
-            for i in range(len(labels) + 1):
-                gen_prefixes.add(tuple(labels[:i]))
         for node in self.nodes:
             # the root is a member of every nonempty prefix-closed tree
             for i in range(1, len(node)):
@@ -156,10 +152,7 @@ def parse_tree_file(text: str) -> TreeSpec:
     def path(tok: str) -> tuple:
         if not tok:
             return ()
-        try:
-            return tuple(int(v) for v in tok.split("."))
-        except ValueError:
-            raise ConfigError(f"bad tree path {tok!r}") from None
+        return tuple(natural(v, "tree path component") for v in tok.split("."))
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

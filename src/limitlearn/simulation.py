@@ -30,6 +30,14 @@ __all__ = [
 ]
 
 
+def check_read(stage: int, pos: int, bound: int):
+    """Raise for a read position outside [0, bound): past the bound first."""
+    if pos >= bound:
+        raise UseViolation(stage, pos, bound)
+    if pos < 0:
+        raise ConfigError(f"negative position {pos}")
+
+
 class StageView:
     """Query window for one stage over the session's bit tables: enforces
     the use bound, logs every read."""
@@ -44,22 +52,15 @@ class StageView:
         self.reads = set()
         self.informant_size = informant_size
 
-    def _check(self, pos: int):
-        """Raise for a position outside [0, bound): past the bound first."""
-        if pos >= self._bound:
-            raise UseViolation(self._stage, pos, self._bound)
-        if pos < 0:
-            raise ConfigError(f"negative position {pos}")
-
     def target_bit(self, pos: int) -> int:
         if not 0 <= pos < self._bound:
-            self._check(pos)
+            check_read(self._stage, pos, self._bound)
         self.reads.add(("t", pos))
         return self._target[pos]
 
     def informant_bit(self, j: int, pos: int) -> int:
         if not 0 <= pos < self._bound:
-            self._check(pos)
+            check_read(self._stage, pos, self._bound)
         self.reads.add(("i", j, pos))
         return self._rows[j][pos]
 

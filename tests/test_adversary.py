@@ -7,12 +7,15 @@ relation oracles; committed data must always survive independent replay.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from limitlearn.adversary import (
     EXHAUSTED,
     AdversaryRun,
     Condition,
     ForcedExtension,
+    MembershipRun,
     bc_class_membership_procedure,
     candidate_codes,
     diagonalize_inf,
@@ -253,3 +256,76 @@ def test_membership_validates_b():
         bc_class_membership_procedure(synth_e0(), E0, W("|0"), lambda n: W("|0"), W("1|0"), 8)
     with pytest.raises(ConfigError):
         bc_class_membership_procedure(synth_e0(), E0, W("|0"), b_outside, W("1|0"), 3)
+
+
+def slot_membership_reference(bc, y, b, z, horizon):
+    """The membership procedure as first written, with one slot list of
+    ("open", committed length) and ("pin", word) entries, a pinned front and
+    a later_initialized array.  A differential reference; b is not checked."""
+    slots = []
+
+    def slot(j):
+        while len(slots) <= j:
+            slots.append(("open", 0))
+        return slots[j]
+
+    def snapshot():
+        frozen = tuple(slots)
+
+        def at(j):
+            if j == 0:
+                return z
+            if j - 1 < len(frozen) and frozen[j - 1][0] == "pin":
+                return frozen[j - 1][1]
+            return y
+
+        return Informant.from_function(at)
+
+    values = []
+    for s in range(horizon):
+        i_s = run_session(bc, y, snapshot(), max(s, 1)).hypotheses[s]
+        values.append(i_s)
+        u = bc.use_bound_at(s)
+        if s == 0 or (i_s == 0 and values[s - 1] == 0):
+            for j in range(s):
+                kind, t = slot(j)
+                if kind == "open":
+                    slots[j] = ("open", max(t, u))
+            continue
+        touched = max(len(slots), i_s + 1, s)
+        front = 0
+        while front < touched and slot(front)[0] == "pin":
+            front += 1
+        before = [slot(j) for j in range(touched)]
+        later_initialized = [False] * touched
+        for j in range(touched - 1, front, -1):
+            kind, t = before[j]
+            later_initialized[j - 1] = later_initialized[j] or kind == "pin" or t > 0
+        for j in range(front, touched):
+            kind, t = before[j]
+            if kind == "open" and (later_initialized[j] or j <= i_s):
+                slots[j] = ("pin", b(max(t, u) if j + 1 <= s else t))
+    quarter = range(3 * horizon // 4, horizon)
+    return MembershipRun(tuple(values), all(values[s] == 0 for s in quarter))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["|0", "1|0", "|1"]), st.booleans(),
+       st.sampled_from(["01", "10", "011"]), st.sampled_from(enumerate_words(4)),
+       st.integers(4, 40))
+# inputs on which pinning slot `last` itself, not only the slots below it,
+# changes the stage values but not the flag
+@example("|0", False, "01", W("|0001"), 24)
+@example("1|0", True, "10", W("|1000"), 40)
+def test_membership_values_match_the_slot_reference(y, second, tail, z, horizon):
+    """Every stage value and the flag equal the slot-list reference's, over
+    targets, one- and two-word learner informants and b tails unrelated to
+    the target."""
+    y = W(y)
+    bc = SynthLearner(e0_code(), Informant.explicit([y, W("|01")] if second else [y]))
+
+    def b(n):
+        return Word(y.prefix(n), tail)
+
+    run = bc_class_membership_procedure(bc, E0, y, b, z, horizon)
+    assert run == slot_membership_reference(bc, y, b, z, horizon)
