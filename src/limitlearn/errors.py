@@ -41,12 +41,12 @@ class CrosscheckDisagreement(LimitlearnError):
 
 
 def natural(text, what: str, lo: int = 0, hi: int | None = None) -> int:
-    """`text` as a natural number in lo..hi (hi None: unbounded), or a
-    ConfigError naming `what`."""
-    try:
-        n = int(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a natural number, got {text!r}") from None
+    """`text`, an int or a string of ASCII digits, as a natural number in
+    lo..hi (hi None: unbounded), or a ConfigError naming `what`."""
+    digits = isinstance(text, str) and text.isascii() and text.removeprefix("-").isdigit()
+    if type(text) is not int and not digits:
+        raise ConfigError(f"{what} must be a natural number, got {text!r}")
+    n = int(text)
     if n < 0:
         raise ConfigError(f"{what} must be nonnegative, got {n}")
     if n < lo:

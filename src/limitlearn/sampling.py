@@ -50,10 +50,7 @@ def flip_finitely(rng, w: Word, max_flips: int = 3) -> Word:
     """A word differing from w in finitely many (possibly zero) positions."""
     span = w.size + 4
     flips = {rng.randrange(span) for _ in range(rng.randrange(max_flips + 1))}
-    cut = max([len(w.pre)] + [p + 1 for p in flips])
-    return words.from_bits(
-        lambda i: w.bit(i) ^ (1 if i in flips else 0), cut, len(w.per)
-    )
+    return words.with_bits(w, {p: 1 - w.bit(p) for p in flips})
 
 
 def random_osc_pair(rng) -> tuple[Word, Word]:

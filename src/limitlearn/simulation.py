@@ -9,12 +9,13 @@ observable at a finite stage, so the three are deliberately kept apart.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ConfigError, ContractViolation, UseViolation
 from .formulas import eval_exact_ep, least_refutation
 from .learners import Informant, Learner, SynthLearner, cantor_unpair
-from .words import Word
+from .words import Word, with_bits
 
 __all__ = [
     "StageView",
@@ -66,39 +67,18 @@ class StageView:
 
 
 class _InformantRows(dict):
-    """One session's informant bit tables by index, each built on first read.
+    """One session's informant bit tables by index, each built on first read."""
 
-    Overrides, checked here, map (j, pos) to the bit that replaces bit pos of
-    row j.  Rows are `length` long, so an override past that is never read.
-    """
-
-    def __init__(self, informant: Informant, length: int, overrides):
+    def __init__(self, informant: Informant, length: int):
         super().__init__()
         self._informant = informant
         self._length = length
-        self._overrides = {}
-        size = informant.size
-        for key, bit in overrides.items():
-            j, pos = key if type(key) is tuple and len(key) == 2 else (None, None)
-            if not (type(j) is int and type(pos) is int and j >= 0 and pos >= 0
-                    and (size is None or j < size)):
-                raise ConfigError(f"informant override key {key!r} is not a pair (j, pos) "
-                                  "of an informant index and a natural position")
-            if type(bit) is not int or bit not in (0, 1):
-                raise ConfigError(f"informant override bit {bit!r} at {key} is not 0 or 1")
-            if pos < length:
-                self._overrides.setdefault(j, []).append((pos, bit))
 
     def __missing__(self, j):
         w = self._informant.word(j)
         if w is None:
             raise ConfigError(f"informant index {j} out of range")
-        row = w.bit_table(self._length)
-        if j in self._overrides:
-            row = bytearray(row)
-            for pos, bit in self._overrides[j]:
-                row[pos] = bit
-        self[j] = row
+        row = self[j] = w.bit_table(self._length)
         return row
 
 
@@ -132,21 +112,19 @@ class SessionReport:
     certified: ConvergenceCertificate | None
 
 
-def run_session(learner: Learner, target: Word, informant: Informant, horizon: int,
-                informant_overrides=None) -> SessionTrace:
+def run_session(learner: Learner, target: Word, informant: Informant,
+                horizon: int) -> SessionTrace:
     """Run stages 0..horizon inclusive; deterministic given equal inputs.
 
     The learner's whole use schedule is read first, and every view of the
     session answers from bit tables as long as its largest use bound.
-    `informant_overrides` maps (j, pos) to the bit that replaces bit pos of
-    informant word j; it is checked and fixed when the session starts.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     bounds = list(map(learner.use_bound_at, range(horizon + 1)))
     length = max(bounds)
     target_table = target.bit_table(length)
-    rows = _InformantRows(informant, length, informant_overrides or {})
+    rows = _InformantRows(informant, length)
     state = learner.fresh_state()
     step, pointer_of = learner.step, learner.pointer_of
     hyps, pointers, reads = [], [], []
@@ -229,11 +207,13 @@ def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificat
 
 def use_principle_check(learner: Learner, cert: ConvergenceCertificate,
                         trace: SessionTrace, free_bits: int) -> bool:
-    """Exhaustively overlay the lowest unqueried informant bits and re-run.
+    """Set the lowest unqueried informant bits every way and re-run.
 
-    True iff the hypothesis at the stabilization stage is the certified limit
-    in all 2^free_bits completions.  The queried-bit record comes from the
-    trace; only bits below the stabilization stage's use bound can matter.
+    Each completion is an informant whose words differ from the trace's only
+    in those bits, and it is replayed as a session of its own.  True iff the
+    hypothesis at the stabilization stage is the certified limit in all
+    2^free_bits completions.  The queried-bit record comes from the trace;
+    only bits below the stabilization stage's use bound can matter.
     """
     if not 0 <= free_bits <= 12:
         raise ConfigError(f"freeBits {free_bits} outside the exhaustive budget [0, 12]")
@@ -244,21 +224,21 @@ def use_principle_check(learner: Learner, cert: ConvergenceCertificate,
     if stage > trace.horizon:
         raise ConfigError("trace too short for the certificate's stabilization stage")
 
-    queried = set()
-    for s in range(stage + 1):
-        for entry in trace.reads[s]:
-            if entry[0] == "i":
-                queried.add((entry[1], entry[2]))
-
+    queried = {(entry[1], entry[2]) for reads in trace.reads[:stage + 1]
+               for entry in reads if entry[0] == "i"}
     bound = learner.use_bound_at(stage)
     slots = [(pos, j) for pos in range(bound) for j in range(informant.size)
-             if (j, pos) not in queried]
-    slots = slots[:free_bits]
+             if (j, pos) not in queried][:free_bits]
+    # each word's variants once; a completion picks one variant per word
+    variants = []
+    for j, w in enumerate(informant.explicit_words()):
+        free = [pos for pos, k in slots if k == j]
+        variants.append([with_bits(w, dict(zip(free, bits)))
+                         for bits in itertools.product((0, 1), repeat=len(free))])
 
     horizon = max(stage, 1)
-    for mask in range(1 << len(slots)):
-        overrides = {(j, pos): (mask >> i) & 1 for i, (pos, j) in enumerate(slots)}
-        replay = run_session(learner, trace.target, informant, horizon, overrides)
+    for completion in itertools.product(*variants):
+        replay = run_session(learner, trace.target, Informant.explicit(completion), horizon)
         if replay.hypotheses[stage] != cert.limit_index:
             return False
     return True

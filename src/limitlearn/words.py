@@ -18,6 +18,7 @@ __all__ = [
     "PrincipalForm",
     "parse_word",
     "from_bits",
+    "with_bits",
     "split_even_odd",
     "interleave",
     "principal_form",
@@ -112,6 +113,15 @@ def from_bits(fn, pre_len: int, per_len: int) -> Word:
     pre = "".join(str(int(fn(i))) for i in range(pre_len))
     per = "".join(str(int(fn(pre_len + i))) for i in range(per_len))
     return Word(pre, per)
+
+
+def with_bits(w: Word, bits) -> Word:
+    """w with bit pos set to bits[pos] for each position in the map `bits`."""
+    if any(pos < 0 for pos in bits):
+        raise ConfigError(f"negative bit position in {sorted(bits)}")
+    cut = max([len(w.pre)] + [pos + 1 for pos in bits])
+    table = w.bit_table(cut + len(w.per))
+    return from_bits(lambda i: bits.get(i, table[i]), cut, len(w.per))
 
 
 def split_even_odd(w: Word) -> tuple[Word, Word]:

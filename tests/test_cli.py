@@ -15,7 +15,9 @@ import pytest
 
 import limitlearn
 from limitlearn.cli import _OPTIONS, main, parse_config_file
-from limitlearn.errors import ConfigError
+from limitlearn.errors import ConfigError, natural
+from limitlearn.formulas import parse_formula
+from limitlearn.relations import parse_tree_file
 
 E0_CODE_TEXT = "(ef (or (le (ix 0 1 1) (ix 1 0 0)) (eq (ix 0 1 0) (ix 0 1 0))))\n"
 ID_CODE_TEXT = "(ef (eq (ix 0 1 0) (ix 0 1 0)))\n"
@@ -271,6 +273,25 @@ def test_merge_rejects_bad_numbers(capsys, tmp_path):
     (tmp_path / "m.cfg").write_text("seed = -3\n")
     code, _, err = run_cli(capsys, "catalog", "--config", str(tmp_path / "m.cfg"))
     assert code == 2 and "nonnegative" in err
+
+
+def test_numbers_are_plain_ascii_digits(capsys, workdir):
+    # int() alone would read each of these as a number
+    for text in ("1_0", "+7", " 7", "\u0663"):
+        with pytest.raises(ConfigError, match="horizon must be a natural number"):
+            natural(text, "horizon")
+    with pytest.raises(ConfigError, match="natural number"):
+        natural(True, "horizon")
+    assert natural("07", "horizon") == natural(7, "horizon") == 7
+    with pytest.raises(ConfigError, match="tree path component"):
+        parse_tree_file("node 1_0")
+    with pytest.raises(ConfigError, match="index term component"):
+        parse_formula("(ef (bit x (ix +1 0 0)))")
+    for horizon, want in (("10", 0), ("1_0", 2)):
+        code, out, err = run_cli(capsys, "simulate", "--config", str(workdir / "run.cfg"),
+                                 "--horizon", horizon)
+        assert code == want, horizon
+    assert out == "" and err.startswith("error: horizon must be a natural number")
 
 
 def test_experiment_config_defaults(capsys):

@@ -6,6 +6,8 @@ The reference session runs the synthesized tail-agreement learner on target
 from stepping that machine by hand.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,66 +51,22 @@ def reference_setup():
 
 # -------------------------------------------------------------- stage views
 
-def one_word_view(stage, bound, overrides=None):
+def one_word_view(stage, bound):
     """A stage view over target |0 and the one-word informant (|1), built as
     run_session builds it."""
     informant = Informant.explicit([W("|1")])
-    rows = _InformantRows(informant, bound, overrides or {})
+    rows = _InformantRows(informant, bound)
     return StageView(W("|0").bit_table(bound), rows, stage, bound, informant.size)
 
 
-def test_stage_view_logs_and_overrides():
-    view = one_word_view(0, 5, {(0, 2): 0})
+def test_stage_view_logs_reads():
+    view = one_word_view(0, 5)
     assert view.informant_size == 1
     assert view.target_bit(3) == 0
     assert view.informant_bit(0, 1) == 1
-    assert view.informant_bit(0, 2) == 0
+    assert view.informant_bit(0, 2) == 1
+    assert view.target_bit(3) == 0
     assert view.reads == {("t", 3), ("i", 0, 1), ("i", 0, 2)}
-
-
-class Echo(Learner):
-    """Emits informant bit 2 of word 0 at every stage."""
-
-    def use_bound_at(self, stage):
-        return 5
-
-    def step(self, state, stage, view):
-        return state, view.informant_bit(0, 2)
-
-
-def test_empty_overrides_read_as_none_and_overrides_are_honoured():
-    learner, target, informant = reference_setup()
-    plain = run_session(learner, target, informant, 8)
-    empty = run_session(learner, target, informant, 8, informant_overrides={})
-    assert (empty.hypotheses, empty.pointers, empty.reads) == (
-        plain.hypotheses, plain.pointers, plain.reads)
-    ones = Informant.explicit([W("|1")])
-    assert run_session(Echo(), W("|0"), ones, 2).hypotheses == (1, 1, 1)
-    assert run_session(Echo(), W("|0"), ones, 2, {(0, 2): 0}).hypotheses == (0, 0, 0)
-
-
-@pytest.mark.parametrize("overrides", [
-    pytest.param({(-1, 0): 0}, id="negative-index"),
-    pytest.param({(1, 0): 0}, id="index-past-the-informant"),
-    # a negative position would write from the end of the row
-    pytest.param({(0, -1): 0}, id="negative-position"),
-    pytest.param({(0, 1): 2}, id="bit-2"),
-    pytest.param({(0, 1): "1"}, id="bit-str"),
-    pytest.param({(0,): 1}, id="key-of-one"),
-    pytest.param({(0, 1, 2): 1}, id="key-of-three"),
-    pytest.param({(0, "1"): 1}, id="str-position"),
-    pytest.param({"01": 1}, id="str-key"),
-])
-def test_invalid_overrides_are_rejected_at_session_start(overrides):
-    with pytest.raises(ConfigError):
-        run_session(Echo(), W("|0"), Informant.explicit([W("|1")]), 2, overrides)
-
-
-def test_generator_informant_overrides_take_any_natural_index():
-    gen = Informant.from_function(lambda j: W("|1"))
-    assert run_session(Echo(), W("|0"), gen, 1, {(7, 0): 0}).hypotheses == (1, 1)
-    with pytest.raises(ConfigError):
-        run_session(Echo(), W("|0"), gen, 1, {(-1, 0): 0})
 
 
 def test_stage_view_enforces_the_bound():
@@ -124,12 +82,12 @@ def test_stage_view_enforces_the_bound():
 
 
 class LazyView:
-    """The stage view as first written: Word.bit and an override lookup on
-    every read, no tables."""
+    """The stage view as first written: a Word.bit call on every read, no
+    tables."""
 
-    def __init__(self, target, informant, stage, bound, overrides):
+    def __init__(self, target, informant, stage, bound):
         self._target, self._informant = target, informant
-        self._stage, self._bound, self._overrides = stage, bound, overrides
+        self._stage, self._bound = stage, bound
         self.reads = set()
         self.informant_size = informant.size
 
@@ -147,20 +105,18 @@ class LazyView:
     def informant_bit(self, j, pos):
         self._check(pos)
         self.reads.add(("i", j, pos))
-        if (j, pos) in self._overrides:
-            return self._overrides[(j, pos)]
         w = self._informant.word(j)
         if w is None:
             raise ConfigError(f"informant index {j} out of range")
         return w.bit(pos)
 
 
-def lazy_session(learner, target, informant, horizon, overrides):
+def lazy_session(learner, target, informant, horizon):
     """(hypotheses, pointers, reads) of run_session, one LazyView per stage."""
     state = learner.fresh_state()
     hyps, pointers, reads = [], [], []
     for stage in range(horizon + 1):
-        view = LazyView(target, informant, stage, learner.use_bound_at(stage), overrides)
+        view = LazyView(target, informant, stage, learner.use_bound_at(stage))
         state, hyp = learner.step(state, stage, view)
         hyps.append(hyp)
         pointers.append(learner.pointer_of(state))
@@ -174,18 +130,15 @@ small_words = st.builds(Word, st.text("01", max_size=4), st.text("01", min_size=
 @settings(deadline=None)
 @given(st.one_of(st.sampled_from([id_code(), e0_code()]), st.builds(ExistsForall, code_preds)),
        small_words, st.lists(small_words, min_size=1, max_size=8), st.booleans(),
-       st.integers(1, 300), st.data())
-def test_session_tables_match_the_lazy_reference_view(code, target, ws, generated, horizon, data):
-    """Bit tables with overrides written in give the same hypotheses, pointers
-    and per-stage reads as a Word.bit call and an override lookup per read."""
+       st.integers(1, 300))
+def test_session_tables_match_the_lazy_reference_view(code, target, ws, generated, horizon):
+    """Bit tables give the same hypotheses, pointers and per-stage reads as a
+    Word.bit call per read."""
     informant = (Informant.from_function(lambda j: ws[j % len(ws)]) if generated
                  else Informant.explicit(ws))
-    rows = st.integers(0, 2 * len(ws) if generated else len(ws) - 1)
-    overrides = data.draw(st.dictionaries(st.tuples(rows, st.integers(0, 40)),
-                                          st.integers(0, 1), max_size=12))
     learner = SynthLearner(code, informant)
-    got = run_session(learner, target, informant, horizon, overrides)
-    want = lazy_session(learner, target, informant, horizon, overrides)
+    got = run_session(learner, target, informant, horizon)
+    want = lazy_session(learner, target, informant, horizon)
     assert (got.hypotheses, got.pointers, got.reads) == want
 
 
@@ -376,6 +329,18 @@ def test_use_principle_rejects_a_foreign_certificate():
     cert = certify_convergence(learner, target)
     foreign = run_session(learner, W("|1"), informant, 8)
     assert not use_principle_check(learner, cert, foreign, 4)
+
+
+def test_use_principle_replays_reach_the_learner():
+    """A trace whose read log is blind frees the bits the learner does read,
+    so some completion moves the hypothesis off the limit; replaying the
+    original informant instead of each completion would miss that."""
+    learner, target, informant = reference_setup()
+    cert = certify_convergence(learner, target)
+    trace = run_session(learner, target, informant, 8)
+    blind = dataclasses.replace(trace, reads=tuple(frozenset() for _ in trace.reads))
+    assert not use_principle_check(learner, cert, blind, 8)
+    assert use_principle_check(learner, cert, trace, 8)
 
 
 # ------------------------------------------------------------------ records

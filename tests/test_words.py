@@ -24,6 +24,7 @@ from limitlearn.words import (
     prefix_with,
     principal_form,
     split_even_odd,
+    with_bits,
 )
 
 bits = st.text(alphabet="01", min_size=0, max_size=8)
@@ -177,6 +178,21 @@ def test_prefix_with_shifts(b, pre, per):
 def test_from_bits():
     w = from_bits(lambda i: 1 if i % 3 == 0 else 0, 0, 3)
     assert w == Word("", "100")
+
+
+@given(bits, periods, st.dictionaries(st.integers(0, 39), st.integers(0, 1), max_size=6))
+def test_with_bits_sets_exactly_the_given_bits(pre, per, patch):
+    w = Word(pre, per)
+    v = with_bits(w, patch)
+    for i in range(60):
+        assert v.bit(i) == patch.get(i, w.bit(i))
+
+
+def test_with_bits_rejects_bad_bits():
+    with pytest.raises(ConfigError):
+        with_bits(Word("", "0"), {-1: 1})
+    with pytest.raises(ConfigError):
+        with_bits(Word("", "0"), {3: 2})
 
 
 # -------------------------------------------------- finite support coding
