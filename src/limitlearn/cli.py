@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge(args)
         return _COMMANDS[args.command](cfg, sys.stdout)
-    except (ConfigError, UnsupportedAtomError, ValueError) as exc:
+    except (ConfigError, UnsupportedAtomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractViolation as exc:

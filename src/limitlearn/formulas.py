@@ -401,7 +401,7 @@ def formula_size(f) -> int:
 def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
     """Search both variables below the horizon; UNDECIDED absorbs in combinations."""
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise ConfigError("horizon must be at least 1")
     if isinstance(f, ExistsForall):
         holds, bit = f.lowered.holds, (x.bit, y.bit)
         for n in range(horizon):

@@ -103,7 +103,9 @@ class Learner:
     answers its view returns: no clock, randomness or other hidden input.
     So two runs whose views answer every read alike are the same run.
     `use_bound_at` must be a pure function of the stage, because
-    `run_session` reads the whole schedule before stage 0.
+    `run_session` reads the whole schedule before stage 0.  A view answers
+    reads only during the `step` call it is passed to; `run_session` reuses
+    one view object for every stage, so a learner must not keep it.
     """
 
     def fresh_state(self):
@@ -125,10 +127,11 @@ def _stage_use(lowerings) -> tuple:
                   for low in lowerings for _, t, d in low.reads})
 
 
-def _use_at(use: tuple, stage: int) -> int:
-    """The largest a*stage + b over the pairs of _stage_use, or 0."""
+def _use_at(self, stage: int) -> int:
+    """The largest a*stage + b over the pairs of self._use (from _stage_use),
+    or 0: `use_bound_at` of the code learners, one frame per call."""
     bound = 0
-    for a, b in use:
+    for a, b in self._use:
         if a * stage + b > bound:
             bound = a * stage + b
     return bound
@@ -158,8 +161,7 @@ class SynthLearner(Learner):
         # (pointer, first m not yet checked against the current pair)
         return (0, 0)
 
-    def use_bound_at(self, stage: int) -> int:
-        return _use_at(self._use, stage)
+    use_bound_at = _use_at
 
     def pointer_of(self, state):
         return state[0]
@@ -170,10 +172,10 @@ class SynthLearner(Learner):
         if k >= stage:
             return state, a
         size = view.informant_size
-        holds, target_bit, informant_bit = self.lowered.holds, view.target_bit, view.informant_bit
         while True:
-            if (size is None or a < size) and holds(
-                    (target_bit, functools.partial(informant_bit, a)), b, next_m, stage):
+            # read methods are bound per tested pair: most steps test none
+            if (size is None or a < size) and self.lowered.holds(
+                    (view.target_bit, functools.partial(view.informant_bit, a)), b, next_m, stage):
                 return (k, stage), a
             k += 1
             next_m = 0
@@ -202,8 +204,7 @@ class SeparatorLearner(Learner):
         self.lowered = tuple(c.lowered for c in set_codes)
         self._use = _stage_use(self.lowered)
 
-    def use_bound_at(self, stage: int) -> int:
-        return _use_at(self._use, stage)
+    use_bound_at = _use_at
 
     def step(self, state, stage: int, view):
         bit = (view.target_bit, view.target_bit)

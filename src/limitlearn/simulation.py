@@ -41,7 +41,12 @@ def check_read(stage: int, pos: int, bound: int):
 
 class StageView:
     """Query window for one stage over the session's bit tables: enforces
-    the use bound, logs every read."""
+    the use bound, logs every read.
+
+    A view answers reads only during the `step` call it is passed to:
+    `run_session` advances one view through the stages, so a view kept past
+    its step would read under a later stage's bound and log into that stage.
+    """
 
     __slots__ = ("_target", "_rows", "_stage", "_bound", "reads", "informant_size")
 
@@ -116,21 +121,22 @@ def run_session(learner: Learner, target: Word, informant: Informant,
                 horizon: int) -> SessionTrace:
     """Run stages 0..horizon inclusive; deterministic given equal inputs.
 
-    The learner's whole use schedule is read first, and every view of the
-    session answers from bit tables as long as its largest use bound.
+    The learner's whole use schedule is read first.  One view, advanced
+    stage by stage, answers from bit tables as long as the largest bound.
     """
     if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+        raise ConfigError(f"horizon must be at least 1, got {horizon}")
     bounds = list(map(learner.use_bound_at, range(horizon + 1)))
     length = max(bounds)
-    target_table = target.bit_table(length)
-    rows = _InformantRows(informant, length)
+    view = StageView(target.bit_table(length), _InformantRows(informant, length),
+                     0, 0, informant.size)
     state = learner.fresh_state()
     step, pointer_of = learner.step, learner.pointer_of
     hyps, pointers, reads = [], [], []
     last_pointer = None
+    empty = frozenset()  # frozenset(set()) would build a new object per stage
     for stage, bound in enumerate(bounds):
-        view = StageView(target_table, rows, stage, bound, informant.size)
+        view._stage, view._bound, view.reads = stage, bound, set()
         state, hyp = step(state, stage, view)
         pointer = pointer_of(state)
         if pointer is not None and last_pointer is not None and pointer < last_pointer:
@@ -139,7 +145,7 @@ def run_session(learner: Learner, target: Word, informant: Informant,
         last_pointer = pointer
         hyps.append(hyp)
         pointers.append(pointer)
-        reads.append(frozenset(view.reads))
+        reads.append(frozenset(view.reads) if view.reads else empty)
     return SessionTrace(target, informant, tuple(hyps), tuple(pointers), tuple(reads))
 
 
@@ -212,8 +218,9 @@ def use_principle_check(learner: Learner, cert: ConvergenceCertificate,
     Each completion is an informant whose words differ from the trace's only
     in those bits, and it is replayed as a session of its own.  True iff the
     hypothesis at the stabilization stage is the certified limit in all
-    2^free_bits completions.  The queried-bit record comes from the trace;
-    only bits below the stabilization stage's use bound can matter.
+    2^min(free_bits, free slots) completions, where the free slots are the
+    unqueried informant bits below that stage's use bound; only those bits
+    can matter.  The queried-bit record comes from the trace.
     """
     if not 0 <= free_bits <= 12:
         raise ConfigError(f"freeBits {free_bits} outside the exhaustive budget [0, 12]")

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import limitlearn
+from limitlearn import cli
 from limitlearn.cli import _OPTIONS, main, parse_config_file
 from limitlearn.errors import ConfigError, natural
 from limitlearn.formulas import parse_formula
@@ -224,6 +225,16 @@ def test_config_errors_exit_2(capsys, workdir, tmp_path):
                                "--informant", "|0", "--learner", spec, "--horizon", "2")
         assert code == 2, spec
         assert err.startswith(f"error: {spec.split(':')[0]} argument"), spec
+
+
+def test_program_faults_are_not_config_errors(monkeypatch):
+    """A ValueError raised inside a command is a fault, not exit 2."""
+    def broken(cfg, out):
+        raise ValueError("fault inside a command")
+
+    monkeypatch.setitem(cli._COMMANDS, "catalog", broken)
+    with pytest.raises(ValueError, match="fault inside a command"):
+        main(["catalog"])
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):

@@ -209,7 +209,7 @@ def test_eval_bounded_combinations_absorb_undecided():
 
 
 def test_eval_bounded_rejects_bad_horizon():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         eval_bounded(id_code(), Word("", "0"), Word("", "0"), 0)
 
 

@@ -16,8 +16,10 @@ from limitlearn.errors import ConfigError, ContractViolation
 from limitlearn.formulas import (
     And,
     BitOf,
+    CountLe,
     ExistsForall,
     ForallExists,
+    Le,
     Not,
     TERM_N,
     eval_pred,
@@ -47,7 +49,7 @@ from limitlearn.relations import e0_code, id_code, make_relation
 from limitlearn.simulation import run_session
 from limitlearn.words import Word
 from limitlearn.words import parse_word as W
-from test_formulas import code_preds
+from test_formulas import code_preds, pred_trees, small_terms
 
 
 class FreeView:
@@ -151,6 +153,12 @@ def test_synth_schedule_and_pointer():
     assert l.use_bound_at(5) == use_bound(e0_code().pred, 5, 5) == 6
 
 
+@given(code_preds, st.integers(0, 300))
+def test_synth_use_bound_is_the_code_use_bound(p, s):
+    l = SynthLearner(ExistsForall(p), Informant.explicit([W("|0")]))
+    assert l.use_bound_at(s) == use_bound(p, s, s)
+
+
 def test_synth_hypothesis_stream():
     """Reference walk: the target's tail matches informant word 1, reached at
     pair (1, 1) after refuting (0, 0), (0, 1), (1, 0) and skipping the
@@ -240,6 +248,18 @@ def test_separator_stream_walks_to_the_surviving_set():
 def test_separator_use_bound_is_the_worst_code():
     l = SeparatorLearner([HAS_ONE, ExistsForall(BitOf("x", TERM_N))])
     assert l.use_bound_at(4) == 5
+
+
+x_only_preds = pred_trees(st.one_of(
+    st.builds(BitOf, st.just("x"), small_terms),
+    st.builds(Le, small_terms, small_terms),
+    st.builds(CountLe, st.just("x"), small_terms, small_terms, small_terms)))
+
+
+@given(st.lists(x_only_preds, min_size=1, max_size=3), st.integers(0, 300))
+def test_separator_use_bound_is_the_largest_code_use_bound(ps, s):
+    l = SeparatorLearner([ExistsForall(p) for p in ps])
+    assert l.use_bound_at(s) == max(use_bound(p, s, s) for p in ps)
 
 
 # ----------------------------------------------------------- countable rows

@@ -157,7 +157,7 @@ def test_reference_session_trace():
 def test_run_session_rejects_bad_horizons():
     learner, target, informant = reference_setup()
     for h in (0, -3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_session(learner, target, informant, h)
 
 
