@@ -341,7 +341,7 @@ def mask(w, n, full):
     return {mask}
 
 def search(x, y, floor, mu, lift, outer):
-    for n in range(outer):
+    for n in range(outer if mu else min(outer, 1)):
         width = mu * n + lift
         full = (1 << (width if width > floor else floor)) - 1
         if {mask} == full:
@@ -357,7 +357,8 @@ def lower(p) -> Lowered:
     source = _HOLDS_SOURCE.format(holds=holds)
     if not profile[2]:
         source += _EXACT_SOURCE.format(mask=mask)
-    namespace = {"__builtins__": {"max": max, "range": range, "sum": sum}}  # all they call
+    # all they call
+    namespace = {"__builtins__": {"max": max, "min": min, "range": range, "sum": sum}}
     try:
         exec(source, namespace)
     except SyntaxError:  # the parser's nesting limit, near 190 levels
@@ -455,6 +456,11 @@ def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
 # expression generated from one template per predicate form, with only the
 # validated integers of the terms pasted in, and the lowering's search runs
 # the whole outer loop below over it as one compiled function per code.
+# The search takes two shortcuts.  An atom whose profile has mu = 0 is tried
+# at n = 0 alone: no term mentions n, so the mask and the width are the same
+# at every n, and 0 survives iff some n does.  Each word keeps its bit-int
+# between searches, rebuilt only for a longer length: no mask reads a bit at
+# or past the length its search asks for.
 
 
 def _lowering(f) -> Lowered:
@@ -482,6 +488,8 @@ def _exact_bounds(low: Lowered, x, y):
 
 
 def exact_inner_bound(f, x, y, n: int) -> int:
+    if n < 0:
+        raise ConfigError(f"negative outer value {n}")
     floor, mu, lift, _ = _exact_bounds(_lowering(f), x, y)
     return max(floor, mu * n + lift)
 
@@ -491,14 +499,20 @@ def exact_outer_bound(f, x, y) -> int:
 
 
 def _bits(w, length: int) -> int:
-    """The int whose bit i is w.bit(i), for every i < length (length > 0)."""
-    return int(w.prefix(length)[::-1], 2)
+    """An int whose bit i is w.bit(i), for every i < length (length > 0).
+
+    The word's _bitint slot keeps it, rebuilt for at least twice the bits it
+    held whenever a longer length is asked; its top bit marks that count.
+    """
+    value = getattr(w, "_bitint", 1)  # 1: no bits yet, only the marker
+    if value.bit_length() <= length:
+        value = int("1" + w.prefix(max(length, 2 * value.bit_length() - 2))[::-1], 2)
+        object.__setattr__(w, "_bitint", value)
+    return value
 
 
 def least_refutation(pred, x, y, n: int) -> int | None:
     """Least m at which pred (or its lowering) fails at outer value n; None if it never does."""
-    if n < 0:
-        raise ConfigError(f"negative outer value {n}")
     low = _lowering(pred)
     width = exact_inner_bound(low, x, y, n)
     length = n + width + COEFF_CAP

@@ -46,6 +46,8 @@ def _primitive_root(s: str) -> str:
 class Word:
     pre: str
     per: str
+    # _bitint is not a field: formulas' exact search keeps the word's bits there
+    __slots__ = ("pre", "per", "_bitint")
 
     def __post_init__(self):
         if not self.per:
@@ -95,6 +97,9 @@ class Word:
 
     def __repr__(self):
         return f"Word({self.literal!r})"
+
+    def __reduce__(self):  # copy and pickle call Word(pre, per): frozen slots refuse setattr
+        return Word, (self.pre, self.per)
 
 
 def parse_word(text: str) -> Word:

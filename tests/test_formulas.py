@@ -6,7 +6,10 @@ streams; the property tests compare the exact evaluator against brute-force
 scans that use no thresholds from the code under test.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from limitlearn.formulas import (
     Or,
     TERM_M,
     TERM_N,
+    _bits,
     compile_pred,
     const_term,
     eval_bounded,
@@ -331,6 +335,67 @@ def test_exact_witness_is_the_first_n_surviving_its_inner_bound(p, x, y):
 
     first = next((n for n in range(exact_outer_bound(ef, x, y)) if survives(n)), None)
     assert exists_forall_witness(ef, x, y) == first
+
+
+# terms with no n part: the search tries n = 0 alone
+n_free_terms = st.builds(
+    IndexTerm,
+    st.just(0),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=COEFF_CAP),
+)
+n_free_preds = pred_trees(st.one_of(
+    st.builds(BitOf, st.sampled_from("xy"), n_free_terms),
+    st.builds(BitEq, n_free_terms, n_free_terms),
+    st.builds(Le, n_free_terms, n_free_terms),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_free_preds, sized_words, sized_words, st.booleans())
+def test_n_free_codes_find_the_first_surviving_n(p, x, y, fe):
+    """Every n below the outer bound is scanned here, although the search
+    tries only n = 0; EF and FE codes both follow the scan."""
+    pred = Not(p) if fe else p
+    ef = ExistsForall(pred)
+
+    def survives(n):
+        return all(eval_pred(pred, x, y, n, m) for m in range(exact_inner_bound(ef, x, y, n)))
+
+    first = next((n for n in range(exact_outer_bound(ef, x, y)) if survives(n)), None)
+    assert exists_forall_witness(ef, x, y) == first
+    code = ForallExists(p) if fe else ExistsForall(p)
+    assert eval_exact_ep(code, x, y) == ((first is None) if fe else (first is not None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=6))
+def test_kept_bit_ints_stay_exact(w, lengths):
+    """A word keeps its bit-int between searches.  Asked for rising, then
+    falling lengths, it holds w.bit(i) below each; the kept int changes no
+    word's value, and a replaced or copied word does not inherit it."""
+    def spells(word, length):
+        value = _bits(word, length)
+        return [value >> i & 1 for i in range(length)] == [word.bit(i) for i in range(length)]
+
+    fresh = Word(w.pre, w.per)
+    rising = sorted(lengths)
+    assert all(spells(w, length) for length in rising + rising[::-1])
+    assert w == fresh and hash(w) == hash(fresh) and repr(w) == repr(fresh)
+    other = dataclasses.replace(w, pre="1" + w.pre)
+    assert other == Word("1" + w.pre, w.per)
+    twins = (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w)))
+    assert all(twin == w for twin in twins)
+    assert all(spells(twin, rising[-1]) for twin in (other, *twins))
+
+
+def test_exact_inner_bound_rejects_negative_outer_values():
+    x, y = Word("1", "0"), Word("", "0")
+    for code in (e0_code(), id_code()):
+        for n in (-1, -7):
+            with pytest.raises(ConfigError, match="negative outer value"):
+                exact_inner_bound(code, x, y, n)
+    assert exact_inner_bound(e0_code(), x, y, 0) >= 1
 
 
 def test_lower_rejects_a_predicate_too_deep_to_compile():
