@@ -1,8 +1,8 @@
 """Adversarial constructions against learners and candidate codes.
 
-Genericity arguments become exhaustive bounded searches: density of a set of
-conditions is witnessed by finding an extension inside it, never assumed.
-Every verdict ships enough committed data to replay it exactly.
+The diagonalizer commits target bits against a learner's own reads, the
+falsifier enumerates word pairs, and the membership procedure pins informant
+slots.  Every verdict ships enough committed data to replay it exactly.
 """
 
 from __future__ import annotations
@@ -25,12 +25,8 @@ from .simulation import check_read, run_session
 from .words import Word
 
 __all__ = [
-    "Condition",
-    "ForcedExtension",
-    "EXHAUSTED",
     "AdversaryRun",
     "MembershipRun",
-    "force_mind_change",
     "diagonalize_inf",
     "falsify_inf_classifier",
     "candidate_codes",
@@ -40,79 +36,6 @@ __all__ = [
     "enumerate_words",
     "format_adversary_record",
 ]
-
-
-class _Exhausted:
-    def __repr__(self):
-        return "EXHAUSTED"
-
-
-EXHAUSTED = _Exhausted()
-
-
-def _binary(s: str, what: str) -> str:
-    if any(c not in "01" for c in s):
-        raise ConfigError(f"{what} must be a binary string, got {s!r}")
-    return s
-
-
-@dataclass(frozen=True)
-class Condition:
-    """Finite commitments: a target prefix and one prefix per informant slot."""
-
-    target_prefix: str
-    informant_prefixes: tuple
-
-    def __post_init__(self):
-        _binary(self.target_prefix, "target prefix")
-        for p in self.informant_prefixes:
-            _binary(p, "informant prefix")
-
-    def completed_target(self) -> Word:
-        return Word(self.target_prefix, "0")
-
-    def completed_informant(self) -> Informant:
-        return Informant.explicit([Word(p, "0") for p in self.informant_prefixes])
-
-
-@dataclass(frozen=True)
-class ForcedExtension:
-    condition: Condition
-    stage: int
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def force_mind_change(learner: Learner, c: Condition, current_hyp: int,
-                      depth_budget: int, stage_budget: int):
-    """Search all extensions of c, shortest first, for one that makes the
-    learner emit something other than current_hyp within the stage budget."""
-    if depth_budget < 0 or stage_budget < 0:
-        raise ConfigError(f"negative budget: depth {depth_budget}, stages {stage_budget}")
-    streams = 1 + len(c.informant_prefixes)
-    horizon = max(stage_budget, 1)
-    for total in range(depth_budget + 1):
-        for lengths in _compositions(total, streams):
-            pools = [itertools.product("01", repeat=n) for n in lengths]
-            for added in itertools.product(*pools):
-                ext = Condition(
-                    c.target_prefix + "".join(added[0]),
-                    tuple(p + "".join(a)
-                          for p, a in zip(c.informant_prefixes, added[1:])),
-                )
-                trace = run_session(learner, ext.completed_target(),
-                                    ext.completed_informant(), horizon)
-                for stage, hyp in enumerate(trace.hypotheses[:stage_budget + 1]):
-                    if hyp != current_hyp:
-                        return ForcedExtension(ext, stage)
-    return EXHAUSTED
 
 
 @dataclass(frozen=True)

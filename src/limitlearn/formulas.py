@@ -30,7 +30,6 @@ __all__ = [
     "ForallExists",
     "FAnd",
     "FOr",
-    "ThreeValued",
     "TERM_N",
     "TERM_M",
     "const_term",
@@ -39,7 +38,6 @@ __all__ = [
     "lower",
     "use_bound",
     "compile_pred",
-    "eval_bounded",
     "eval_exact_ep",
     "exact_inner_bound",
     "exact_outer_bound",
@@ -381,51 +379,11 @@ def compile_pred(p, xbit, ybit):
 # ------------------------------------------------------------ formula level
 
 
-@dataclass(frozen=True)
-class ThreeValued:
-    kind: str
-    witness: int | None
-    horizon: int
-
-    @property
-    def is_confirmed(self):
-        return self.kind == "CONFIRMED"
-
-
 def formula_size(f) -> int:
     """Node count over the formula tree and every predicate AST (terms free)."""
     def size(node, kind):
         return 1 + sum(size(v, k) for k, v in _form(node, kind)[1] if k in "pf")
     return size(f, "f")
-
-
-def eval_bounded(f, x, y, horizon: int) -> ThreeValued:
-    """Search both variables below the horizon; UNDECIDED absorbs in combinations."""
-    if horizon < 1:
-        raise ConfigError("horizon must be at least 1")
-    if isinstance(f, ExistsForall):
-        holds, bit = f.lowered.holds, (x.bit, y.bit)
-        for n in range(horizon):
-            if holds(bit, n, 0, horizon):
-                return ThreeValued("CONFIRMED", n, horizon)
-        return ThreeValued("REFUTED_UP_TO", None, horizon)
-    if isinstance(f, ForallExists):
-        holds, bit = f.lowered.holds, (x.bit, y.bit)  # not pred at every m: no inner witness
-        for n in range(horizon):
-            if holds(bit, n, 0, horizon):
-                return ThreeValued("UNDECIDED", None, horizon)
-        return ThreeValued("CONFIRMED", None, horizon)
-    if isinstance(f, (FAnd, FOr)):
-        a = eval_bounded(f.left, x, y, horizon)
-        b = eval_bounded(f.right, x, y, horizon)
-        if a.kind == "UNDECIDED" or b.kind == "UNDECIDED":
-            return ThreeValued("UNDECIDED", None, horizon)
-        if isinstance(f, FAnd):
-            ok = a.is_confirmed and b.is_confirmed
-        else:
-            ok = a.is_confirmed or b.is_confirmed
-        return ThreeValued("CONFIRMED" if ok else "REFUTED_UP_TO", None, horizon)
-    raise ConfigError(f"not a formula node: {f!r}")
 
 
 # ------------------------------------------------------------- exact truth

@@ -102,6 +102,8 @@ class Learner:
     `step` must be a deterministic function of its state, its stage and the
     answers its view returns: no clock, randomness or other hidden input.
     So two runs whose views answer every read alike are the same run.
+    A state is a value that `step` never mutates: `step` returns the
+    successor, so a caller may step from a kept state again.
     `use_bound_at` must be a pure function of the stage, because
     `run_session` reads the whole schedule before stage 0.  A view answers
     reads only during the `step` call it is passed to; `run_session` reuses

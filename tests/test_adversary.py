@@ -1,6 +1,6 @@
-"""Adversarial constructions: forced mind changes by exhaustive extension,
-diagonalization across the infinite-support boundary, code falsification by
-word enumeration, and the staged class-membership procedure.
+"""Adversarial constructions: diagonalization across the infinite-support
+boundary, code falsification by word enumeration, and the staged
+class-membership procedure.
 
 Every verdict asserted here was replayed by hand or checked against the
 relation oracles; committed data must always survive independent replay.
@@ -11,17 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limitlearn.adversary import (
-    EXHAUSTED,
-    AdversaryRun,
-    Condition,
-    ForcedExtension,
     MembershipRun,
     bc_class_membership_procedure,
     candidate_codes,
     diagonalize_inf,
     enumerate_words,
     falsify_inf_classifier,
-    force_mind_change,
     format_adversary_record,
     inf_family_informant,
     shipped_sim0_candidates,
@@ -40,46 +35,6 @@ SIM1 = make_relation("sim1")
 
 def synth_e0():
     return SynthLearner(e0_code(), Informant.explicit([W("|0")]))
-
-
-# ------------------------------------------------------------- mind changes
-
-def test_condition_validation_and_completions():
-    c = Condition("01", ("1",))
-    assert c.completed_target() == W("01|0")
-    assert c.completed_informant().explicit_words() == (W("1|0"),)
-    with pytest.raises(ConfigError):
-        Condition("0x", ())
-    with pytest.raises(ConfigError):
-        Condition("", ("2",))
-
-
-def test_force_mind_change_finds_the_shortest_refuting_extension():
-    """One informant bit flips the surviving pair: the learner walks off
-    hypothesis 0 at stage 3 under the extension target=0, informant=01."""
-    got = force_mind_change(synth_e0(), Condition("0", ("0",)), 0, 4, 12)
-    assert got == ForcedExtension(Condition("0", ("01",)), 3)
-
-
-def test_force_mind_change_at_stage_zero():
-    got = force_mind_change(ConstantLearner(5), Condition("", ("",)), 0, 0, 3)
-    assert got == ForcedExtension(Condition("", ("",)), 0)
-
-
-def test_force_mind_change_exhaustion():
-    assert force_mind_change(ConstantLearner(0), Condition("", ("",)), 0, 3, 6) is EXHAUSTED
-    assert force_mind_change(synth_e0(), Condition("0", ("0",)), 0, 0, 12) is EXHAUSTED
-    assert repr(EXHAUSTED) == "EXHAUSTED"
-
-
-def test_force_mind_change_rejects_negative_budgets():
-    """A negative stage budget would slice the hypotheses from the end of the
-    list; budgets of 0 stay valid."""
-    c = Condition("", ("",))
-    for depth, stages in ((0, -1), (0, -2), (-1, 3)):
-        with pytest.raises(ConfigError):
-            force_mind_change(ConstantLearner(0), c, 1, depth, stages)
-    assert force_mind_change(ConstantLearner(0), c, 1, 0, 0) == ForcedExtension(c, 0)
 
 
 # ---------------------------------------------------------- diagonalization

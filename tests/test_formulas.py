@@ -1,5 +1,5 @@
-"""Two-level formulas: predicate semantics, bounded and exact evaluation,
-use bounds, and the s-expression surface syntax.
+"""Two-level formulas: predicate semantics, exact evaluation, use bounds,
+and the s-expression surface syntax.
 
 Exact-evaluation expectations are frozen from hand computation on the bit
 streams; the property tests compare the exact evaluator against brute-force
@@ -36,7 +36,6 @@ from limitlearn.formulas import (
     _bits,
     compile_pred,
     const_term,
-    eval_bounded,
     eval_exact_ep,
     eval_pred,
     exact_inner_bound,
@@ -189,34 +188,6 @@ def test_formula_sizes():
     assert formula_size(FAnd(id_code(), e0_code())) == 7
 
 
-def test_eval_bounded_kinds():
-    x, y = Word("1", "0"), Word("", "0")
-    r = eval_bounded(e0_code(), x, y, 8)
-    assert r.kind == "CONFIRMED" and r.witness == 1
-    r2 = eval_bounded(e0_code(), Word("", "01"), Word("", "10"), 8)
-    assert r2.kind == "REFUTED_UP_TO" and r2.horizon == 8
-    r3 = eval_bounded(ForallExists(BitEq(TERM_M, TERM_M)), Word("", "0"), Word("", "0"), 4)
-    assert r3.kind == "CONFIRMED" and r3.witness is None
-    # n = 2 has no inner witness: undecided, never refuted
-    r4 = eval_bounded(ForallExists(BitEq(TERM_N, TERM_N)), Word("001", "0"), Word("", "0"), 6)
-    assert r4.kind == "UNDECIDED"
-
-
-def test_eval_bounded_combinations_absorb_undecided():
-    x, y = Word("", "0"), Word("", "0")
-    undecided = ForallExists(Not(BitEq(TERM_M, TERM_M)))
-    confirmed = id_code()
-    assert eval_bounded(FAnd(confirmed, undecided), x, y, 4).kind == "UNDECIDED"
-    assert eval_bounded(FOr(confirmed, undecided), x, y, 4).kind == "UNDECIDED"
-    assert eval_bounded(FAnd(confirmed, confirmed), x, y, 4).kind == "CONFIRMED"
-    assert eval_bounded(FOr(e0_code(), confirmed), x, y, 4).kind == "CONFIRMED"
-
-
-def test_eval_bounded_rejects_bad_horizon():
-    with pytest.raises(ConfigError):
-        eval_bounded(id_code(), Word("", "0"), Word("", "0"), 0)
-
-
 # ------------------------------------------------------------ exact truth
 
 def test_exact_least_witness():
@@ -245,23 +216,6 @@ def test_exact_agreement_with_slow_period_scan():
             period = math.lcm(len(x.per), len(y.per))
             brute = all(x.bit(i) == y.bit(i) for i in range(start, start + period))
             assert eval_exact_ep(e0_code(), x, y) == brute, (x, y)
-
-
-@given(words, words)
-def test_exact_agrees_with_bounded_in_the_sound_directions(x, y):
-    """A deep horizon makes bounded refutation sound, and a true formula is
-    confirmed at its least genuine witness.  The converse of confirmation is
-    not sound: near the horizon the m+1 <= n guard can hide a late refutation."""
-    outer = exact_outer_bound(e0_code(), x, y)
-    horizon = outer + exact_inner_bound(e0_code(), x, y, outer)
-    bounded = eval_bounded(e0_code(), x, y, horizon)
-    if eval_exact_ep(e0_code(), x, y):
-        assert bounded.is_confirmed
-        assert bounded.witness == exists_forall_witness(e0_code(), x, y)
-    elif bounded.kind == "REFUTED_UP_TO":
-        pass
-    else:
-        assert bounded.witness > outer
 
 
 @settings(max_examples=1000, deadline=None)

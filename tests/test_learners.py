@@ -6,6 +6,7 @@ Stage machines are driven here through an unrestricted view so their
 hypothesis streams can be frozen independently of the session runner.
 """
 
+import copy
 from types import SimpleNamespace
 
 import pytest
@@ -379,23 +380,29 @@ def test_transport_catches_modulus_violations():
 
 # ---------------------------------------------------------- selection names
 
-def test_learner_from_string(tmp_path):
-    (tmp_path / "e0.s2f").write_text(
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    """A directory holding the files the file-reading learner kinds name."""
+    d = tmp_path_factory.mktemp("specs")
+    (d / "e0.s2f").write_text(
         "(ef (or (le (ix 0 1 1) (ix 1 0 0)) (eq (ix 0 1 0) (ix 0 1 0))))\n"
     )
-    (tmp_path / "seps.s2f").write_text("(ef (bit x (ix 1 0 0)))\n(ef (not (bit x (ix 1 0 0))))\n")
-    (tmp_path / "rows.txt").write_text("# classes\n|0 1|0\n|1\n")
+    (d / "seps.s2f").write_text("(ef (bit x (ix 1 0 0)))\n(ef (not (bit x (ix 1 0 0))))\n")
+    (d / "rows.txt").write_text("# classes\n|0 1|0\n|1\n")
+    return str(d)
+
+
+def test_learner_from_string(spec_dir):
     inf = Informant.explicit([W("|0"), W("1|0")])
     e0 = make_relation("e0")
-    base = str(tmp_path)
 
-    l = learner_from_string("synth:e0.s2f", informant=inf, base_dir=base)
+    l = learner_from_string("synth:e0.s2f", informant=inf, base_dir=spec_dir)
     assert isinstance(l, SynthLearner) and l.code == e0_code()
 
-    l = learner_from_string("separators:seps.s2f", base_dir=base)
+    l = learner_from_string("separators:seps.s2f", base_dir=spec_dir)
     assert isinstance(l, SeparatorLearner) and len(l.codes) == 2
 
-    l = learner_from_string("countable:rows.txt", base_dir=base)
+    l = learner_from_string("countable:rows.txt", base_dir=spec_dir)
     assert isinstance(l, CountableClassLearner)
     assert l.rows == ((W("|0"), W("1|0")), (W("|1"),))
 
@@ -432,3 +439,31 @@ def test_learner_from_string_errors(tmp_path):
     for case in cases:
         with pytest.raises(ConfigError):
             learner_from_string(case.pop("spec"), base_dir=str(tmp_path), **case)
+
+
+# every learner kind and every reduction; informant words 0 and 1 share an
+# e0 class, as cycling needs
+EVERY_KIND = [
+    "synth:e0.s2f", "separators:seps.s2f", "countable:rows.txt", "cycling:0",
+    "constant:3", "recent-ones:3", "bc2ex:cycling:0", "bc2ex:constant:1",
+    "transport:identity:synth:e0.s2f", "transport:prefix0:recent-ones:2",
+    "transport:prefix1:countable:rows.txt", "transport:embed:separators:seps.s2f",
+]
+CONTRACT_WORDS = [W("|0"), W("1|0"), W("|1"), W("0|01")]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(EVERY_KIND), small_words, st.integers(0, 40))
+def test_step_never_mutates_its_state(spec_dir, spec, target, stage):
+    """The learner-state contract: from one state and stage, on two views that
+    answer alike, step returns equal results and leaves the state as it was."""
+    learner = learner_from_string(spec, make_relation("e0"),
+                                  Informant.explicit(CONTRACT_WORDS), spec_dir)
+    state = learner.fresh_state()
+    for s in range(stage):
+        state, _ = learner.step(state, s, FreeView(target, CONTRACT_WORDS))
+    before = copy.deepcopy(state)
+    first = learner.step(state, stage, FreeView(target, CONTRACT_WORDS))
+    second = learner.step(state, stage, FreeView(target, CONTRACT_WORDS))
+    assert first == second
+    assert state == before
