@@ -53,13 +53,16 @@ from .words import parse_word
 # Each option once: attribute (flag --attribute, - for _), config key, default,
 # accepted range (None: unbounded) and help; an int default marks a natural
 # number.  maxSize stops at 7: 544,644 pairs, which falsify sweeps in 6.7 s on
-# e0 and 0.8 s on id on a 2-core Xeon host under Python 3.11.7.
+# e0 and 0.8 s on id on a 2-core Xeon host under Python 3.11.7.  horizon stops
+# at 1,000,000, where README's e0 simulate session takes 8 s and peaks at
+# 472 MiB RSS on that host: a session builds its use bounds and bit tables for
+# the whole horizon before stage 0, so 10^9 would need gigabytes first.
 _OPTIONS = (
     ("relation", "relation", None, None, "catalog name or tree:PATH"),
     ("target", "target", None, None, "word literal PRE|PER"),
     ("informant", "informant", None, None, "word literals, or one generator name"),
     ("learner", "learner", None, None, "learner selection string"),
-    ("horizon", "horizon", 100, (1, None), None),
+    ("horizon", "horizon", 100, (1, 1_000_000), None),
     ("seed", "seed", 0, (0, None), None),
     ("patience", "patience", 64, (0, None), None),
     ("rounds", "rounds", 10, (0, None), None),

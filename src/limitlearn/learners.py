@@ -32,7 +32,6 @@ __all__ = [
     "Reduction",
     "identity_reduction",
     "prefix_reduction",
-    "embed_reduction",
     "TransportLearner",
     "CyclingLearner",
     "ConstantLearner",
@@ -326,17 +325,6 @@ def prefix_reduction(bit: int) -> Reduction:
     )
 
 
-def embed_reduction() -> Reduction:
-    """Principal-form round trip: the identity on infinite-support words."""
-
-    def apply(w: Word) -> Word:
-        if not w.is_inf:
-            raise ConfigError("increasing-sequence embedding needs infinite support")
-        return words.embed_increasing_sequence(words.principal_form(w))
-
-    return Reduction("embed", lambda k: k, lambda pos, src: src(pos), apply)
-
-
 class _TransportedView:
     def __init__(self, view, reduction):
         self._view = view
@@ -438,7 +426,6 @@ _REDUCTIONS = {
     "identity": identity_reduction,
     "prefix0": lambda: prefix_reduction(0),
     "prefix1": lambda: prefix_reduction(1),
-    "embed": embed_reduction,
 }
 
 

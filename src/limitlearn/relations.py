@@ -39,19 +39,6 @@ __all__ = [
     "OSC_WINDOW",
 ]
 
-CATALOG_NAMES = (
-    "id",
-    "e0",
-    "oscillation",
-    "sim0",
-    "sim1",
-    "sim3",
-    "sim4",
-    "sim5",
-    "tree",
-)
-
-
 @dataclass(frozen=True)
 class RelationSpec:
     name: str
@@ -126,23 +113,8 @@ def branch_word(gen) -> Word | None:
     u, v = gen
     if any(b <= a for a, b in zip(u, u[1:])) or min(v) < 1:
         return None
-    base = u[-1] if u else 0
-    step = sum(v)
-    sums = set()
-    acc = 0
-    for inc in v:
-        acc += inc
-        sums.add(acc)
-    in_u = set(u)
-
-    def bit(i):
-        if i in in_u:
-            return 1
-        if i > base and (i - base - 1) % step + 1 in sums:
-            return 1
-        return 0
-
-    return words.from_bits(bit, base + 1, step)
+    ones = set(_branch_labels(gen, len(u) + len(v)))  # the stem and one cycle
+    return words.from_bits(lambda i: int(i in ones), (u[-1] if u else 0) + 1, sum(v))
 
 
 def parse_tree_file(text: str) -> TreeSpec:
@@ -284,6 +256,7 @@ _CATALOG = {
     "sim5": ("NO", "as sim3, or both finite agreeing at 0", _decide_sim5, None),
     "tree": ("N/A", "equal, or even parts on tree branches with infinite odd parts", None, None),
 }
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog_rows():

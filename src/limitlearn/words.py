@@ -15,16 +15,12 @@ from .errors import ConfigError
 
 __all__ = [
     "Word",
-    "PrincipalForm",
     "parse_word",
     "from_bits",
     "with_bits",
     "split_even_odd",
     "interleave",
-    "principal_form",
     "finite_support_word",
-    "finite_support_index",
-    "embed_increasing_sequence",
     "drop_first",
     "prefix_with",
 ]
@@ -145,42 +141,6 @@ def interleave(a: Word, b: Word) -> Word:
     )
 
 
-@dataclass(frozen=True)
-class PrincipalForm:
-    """Increasing enumeration of the 1-positions of a word.
-
-    Finitely many positions listed outright; from tail_start on, the positions
-    are exactly the naturals in the given residue classes.  tail_start is None
-    exactly for finite-support words, where the enumeration is partial.
-    """
-
-    initial: tuple[int, ...]
-    tail_start: int | None
-    residues: frozenset[int]
-    modulus: int
-
-    def positions(self, count: int):
-        """First `count` enumerated positions; fewer if the support is finite."""
-        out = list(self.initial[:count])
-        if self.tail_start is not None:
-            p = self.tail_start
-            while len(out) < count:
-                if p % self.modulus in self.residues:
-                    out.append(p)
-                p += 1
-        return out
-
-
-def principal_form(w: Word) -> PrincipalForm:
-    lp, p = len(w.pre), len(w.per)
-    if not w.is_inf:
-        ones = tuple(i for i in range(lp) if w.bit(i) == 1)
-        return PrincipalForm(ones, None, frozenset(), 1)
-    initial = tuple(i for i in range(lp) if w.bit(i) == 1)
-    residues = frozenset((lp + j) % p for j in range(p) if w.per[j] == "1")
-    return PrincipalForm(initial, lp, residues, p)
-
-
 def finite_support_word(i: int) -> Word:
     """The i-th finite-support word: bit j is bit j of i in LSB-first binary."""
     if i < 0:
@@ -191,33 +151,6 @@ def finite_support_word(i: int) -> Word:
         pre += str(k & 1)
         k >>= 1
     return Word(pre, "0")
-
-
-def finite_support_index(w: Word) -> int:
-    """Inverse of finite_support_word; rejects words with infinite support."""
-    if w.is_inf:
-        raise ConfigError("word has infinite support")
-    return sum(1 << i for i in range(len(w.pre)) if w.bit(i) == 1)
-
-
-def embed_increasing_sequence(seq: PrincipalForm) -> Word:
-    """Characteristic word of the range of a total strictly increasing sequence."""
-    if seq.tail_start is None:
-        raise ConfigError("sequence is not total (finite support)")
-    if any(b <= a for a, b in zip(seq.initial, seq.initial[1:])):
-        raise ConfigError("sequence is not strictly increasing")
-    if seq.initial and seq.initial[-1] >= seq.tail_start:
-        raise ConfigError("initial positions overlap the residue tail")
-    if not seq.residues or not all(0 <= r < seq.modulus for r in seq.residues):
-        raise ConfigError("residues must be a nonempty subset of [0, modulus)")
-    init = set(seq.initial)
-
-    def bit(i):
-        if i < seq.tail_start:
-            return 1 if i in init else 0
-        return 1 if i % seq.modulus in seq.residues else 0
-
-    return from_bits(bit, max(seq.tail_start, (seq.initial[-1] + 1) if seq.initial else 0), seq.modulus)
 
 
 def drop_first(w: Word) -> Word:

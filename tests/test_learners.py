@@ -41,7 +41,6 @@ from limitlearn.learners import (
     cantor_pair,
     cantor_unpair,
     class_index_sets,
-    embed_reduction,
     identity_reduction,
     learner_from_string,
     prefix_reduction,
@@ -346,9 +345,6 @@ def test_reduction_word_maps():
     assert identity_reduction().apply_word(W("|01")) == W("|01")
     assert prefix_reduction(0).apply_word(W("|1")) == W("0|1")
     assert prefix_reduction(1).apply_word(W("|0")) == W("1|0")
-    assert embed_reduction().apply_word(W("|10")) == W("|10")
-    with pytest.raises(ConfigError):
-        embed_reduction().apply_word(W("1|0"))
     with pytest.raises(ConfigError):
         prefix_reduction(2)
 
@@ -431,6 +427,7 @@ def test_learner_from_string_errors(tmp_path):
         dict(spec="cycling:0", relation=e0, informant=Informant.finite_support()),
         dict(spec="bc2ex:", relation=e0, informant=inf),
         dict(spec="transport:warp:constant:0"),
+        dict(spec="transport:embed:constant:0"),
         dict(spec="transport:prefix0:"),
         dict(spec="constant:abc"),
         dict(spec="constant:-2"),
@@ -441,13 +438,13 @@ def test_learner_from_string_errors(tmp_path):
             learner_from_string(case.pop("spec"), base_dir=str(tmp_path), **case)
 
 
-# every learner kind and every reduction; informant words 0 and 1 share an
-# e0 class, as cycling needs
+# every learner kind and every reduction (identity, prefix0, prefix1);
+# informant words 0 and 1 share an e0 class, as cycling needs
 EVERY_KIND = [
     "synth:e0.s2f", "separators:seps.s2f", "countable:rows.txt", "cycling:0",
     "constant:3", "recent-ones:3", "bc2ex:cycling:0", "bc2ex:constant:1",
     "transport:identity:synth:e0.s2f", "transport:prefix0:recent-ones:2",
-    "transport:prefix1:countable:rows.txt", "transport:embed:separators:seps.s2f",
+    "transport:prefix1:countable:rows.txt", "transport:identity:separators:seps.s2f",
 ]
 CONTRACT_WORDS = [W("|0"), W("1|0"), W("|1"), W("0|01")]
 

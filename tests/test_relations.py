@@ -174,15 +174,14 @@ def test_branch_word_rejects_non_principal_generators():
     assert branch_word(((0,), (0, 2))) is None
 
 
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=3),
-       st.integers(0, 2), st.integers(0, 30))
-def test_branch_word_bits_enumerate_the_branch(incs, stem_start, i):
-    """The word's support must be exactly the branch labels."""
-    u = (stem_start,)
-    gen = (u, tuple(incs))
-    w = branch_word(gen)
-    labels = {stem_start}
-    cur = stem_start
+@given(st.lists(st.integers(0, 6), max_size=3, unique=True).map(sorted),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 30))
+def test_branch_word_bits_enumerate_the_branch(stem, incs, i):
+    """The word's support must be exactly the branch labels, for every strictly
+    increasing stem of length 0-3."""
+    w = branch_word((tuple(stem), tuple(incs)))
+    labels = set(stem)
+    cur = stem[-1] if stem else 0
     t = 0
     while cur <= i:
         cur += incs[t % len(incs)]

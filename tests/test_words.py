@@ -1,4 +1,5 @@
-"""Eventually periodic words: canonical forms, bit access, structure maps.
+"""Eventually periodic words: canonical forms, bit access, structure maps, the
+finite-support coding.
 
 Expected values here are computed by hand from the defining bit streams, not
 by calling the code under test.
@@ -12,17 +13,13 @@ from hypothesis import strategies as st
 
 from limitlearn.errors import ConfigError
 from limitlearn.words import (
-    PrincipalForm,
     Word,
     drop_first,
-    embed_increasing_sequence,
-    finite_support_index,
     finite_support_word,
     from_bits,
     interleave,
     parse_word,
     prefix_with,
-    principal_form,
     split_even_odd,
     with_bits,
 )
@@ -208,65 +205,9 @@ def test_finite_support_frozen():
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_finite_support_round_trip(i):
-    assert finite_support_index(finite_support_word(i)) == i
-
-
-def test_finite_support_index_rejects_inf():
-    with pytest.raises(ConfigError):
-        finite_support_index(Word("", "1"))
-
-
-# ------------------------------------------------------- principal forms
-
-def test_principal_form_frozen():
-    pf = principal_form(Word("", "10"))
-    assert pf == PrincipalForm((), 0, frozenset({0}), 2)
-    pf2 = principal_form(Word("10", "0"))
-    assert pf2 == PrincipalForm((0,), None, frozenset(), 1)
-    # 01|101 canonicalizes to |011: ones at 1,2 mod 3 from the start
-    pf3 = principal_form(Word("01", "101"))
-    assert pf3 == PrincipalForm((), 0, frozenset({1, 2}), 3)
-    pf4 = principal_form(Word("001", "10"))
-    # bits 0,0,1,1,0,1,0,...: one at 2 in the preperiod, then odd positions
-    assert pf4.initial == (2,)
-    assert pf4.tail_start == 3
-    assert pf4.modulus == 2
-    assert pf4.residues == frozenset({1})
-
-
-@given(bits, periods)
-def test_principal_form_lists_exactly_the_ones(pre, per):
-    w = Word(pre, per)
-    pf = principal_form(w)
-    horizon = w.size + 2 * len(w.per)
-    want = {i for i in range(horizon) if w.bit(i)}
-    got = set(pf.positions(len(want) + 5)) if pf.tail_start is None else None
-    if pf.tail_start is None:
-        assert got == want
-    else:
-        listed = pf.positions(len([i for i in range(horizon) if w.bit(i)]))
-        assert set(listed) <= want
-        assert all(w.bit(i) for i in listed)
-
-
-@given(bits.filter(lambda s: True), periods.filter(lambda p: "1" in p))
-def test_embed_round_trips_on_infinite_words(pre, per):
-    w = Word(pre, per)
-    assert embed_increasing_sequence(principal_form(w)) == w
-
-
-def test_embed_rejects_finite_support():
-    with pytest.raises(ConfigError):
-        embed_increasing_sequence(principal_form(Word("1", "0")))
-
-
-def test_embed_rejects_inconsistent_forms():
-    with pytest.raises(ConfigError):
-        embed_increasing_sequence(PrincipalForm((3, 1), 5, frozenset({0}), 2))
-    with pytest.raises(ConfigError):
-        embed_increasing_sequence(PrincipalForm((7,), 5, frozenset({0}), 2))
-    with pytest.raises(ConfigError):
-        embed_increasing_sequence(PrincipalForm((), 0, frozenset({5}), 2))
+    w = finite_support_word(i)
+    assert not w.is_inf
+    assert int(w.pre[::-1] or "0", 2) == i
 
 
 @settings(max_examples=30)
