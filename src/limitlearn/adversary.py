@@ -83,13 +83,6 @@ class _GrowingTargetView:
         return w.bit(pos)
 
 
-def _word_from_ones(ones) -> Word:
-    if not ones:
-        return Word("", "0")
-    top = max(ones)
-    return Word("".join("1" if i in ones else "0" for i in range(top + 1)), "0")
-
-
 def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> AdversaryRun:
     """Straddle the infinite-support boundary against a fixed learner.
 
@@ -129,7 +122,7 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
                 break
             fed += 1
             if fed > patience:
-                witness = _word_from_ones(ones)
+                witness = words.from_bits(lambda i: int(i in ones), max(ones, default=-1) + 1, 1)
                 if witness.is_inf or relation.decide(witness, one_rep):
                     raise ContractViolation(
                         f"round {r}: stuck witness {witness.literal} does not refute "
@@ -143,7 +136,7 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
                          f"committed 1 at {frontier}")
         frontier += 1
 
-    committed = _word_from_ones(ones)
+    committed = words.from_bits(lambda i: int(i in ones), max(ones, default=-1) + 1, 1)
     return AdversaryRun(committed, tuple(phase_log), tuple(mind_changes),
                         "FORCED", rounds, None)
 

@@ -57,6 +57,11 @@ from .words import parse_word
 # at 1,000,000, where README's e0 simulate session takes 8 s and peaks at
 # 472 MiB RSS on that host: a session builds its use bounds and bit tables for
 # the whole horizon before stage 0, so 10^9 would need gigabytes first.
+# The budgets stop where a run still ends in seconds on that host: patience at
+# 1,000,000 (adversary against constant:0, 1.0 s; 10^7 takes 6.9 s), rounds at
+# 1,000 (recent-ones, 1.0 s; its use bound is the stage, so a run is quadratic
+# in it and 3,000 take 8.2 s), samples at 100,000 (crosscheck on e0, 3.8 s;
+# 10^6 take 36 s).
 _OPTIONS = (
     ("relation", "relation", None, None, "catalog name or tree:PATH"),
     ("target", "target", None, None, "word literal PRE|PER"),
@@ -64,10 +69,10 @@ _OPTIONS = (
     ("learner", "learner", None, None, "learner selection string"),
     ("horizon", "horizon", 100, (1, 1_000_000), None),
     ("seed", "seed", 0, (0, None), None),
-    ("patience", "patience", 64, (0, None), None),
-    ("rounds", "rounds", 10, (0, None), None),
+    ("patience", "patience", 64, (0, 1_000_000), None),
+    ("rounds", "rounds", 10, (0, 1_000), None),
     ("max_size", "maxSize", 6, (1, 7), None),
-    ("samples", "samples", 100, (1, None), None),
+    ("samples", "samples", 100, (1, 100_000), None),
     ("code", "code", None, None, "formula file"),
 )
 _CONFIG_KEYS = {key for _, key, *_ in _OPTIONS}

@@ -29,9 +29,6 @@ __all__ = [
     "ClassIndexSets",
     "class_index_sets",
     "BcToExLearner",
-    "Reduction",
-    "identity_reduction",
-    "prefix_reduction",
     "TransportLearner",
     "CyclingLearner",
     "ConstantLearner",
@@ -296,81 +293,50 @@ class BcToExLearner(Learner):
         return state, min(self.classes.e(h))
 
 
-@dataclass(frozen=True)
-class Reduction:
-    """Continuous word map: output bits below k depend on input bits below modulus(k)."""
+class _PrefixedView:
+    """The session view seen through a fixed bit prefix: position pos of a
+    word reads prefix[pos] below len(prefix), else the input at
+    pos - len(prefix)."""
 
-    name: str
-    modulus: object
-    bit_rule: object
-    apply_word: object
-
-
-def identity_reduction() -> Reduction:
-    return Reduction("identity", lambda k: k, lambda pos, src: src(pos), lambda w: w)
-
-
-def prefix_reduction(bit: int) -> Reduction:
-    if bit not in (0, 1):
-        raise ConfigError("prefix reduction bit must be 0 or 1")
-
-    def rule(pos, src):
-        return bit if pos == 0 else src(pos - 1)
-
-    return Reduction(
-        f"prefix{bit}",
-        lambda k: max(k - 1, 0),
-        rule,
-        lambda w: words.prefix_with(bit, w),
-    )
-
-
-class _TransportedView:
-    def __init__(self, view, reduction):
+    def __init__(self, view, prefix: str):
         self._view = view
-        self._red = reduction
-
-    @property
-    def informant_size(self):
-        return self._view.informant_size
-
-    def _through(self, pos, raw):
-        bound = self._red.modulus(pos + 1)
-
-        def src(q):
-            if q >= bound:
-                raise ContractViolation(
-                    f"reduction {self._red.name} read input {q} beyond modulus({pos + 1})={bound}"
-                )
-            return raw(q)
-
-        return self._red.bit_rule(pos, src)
+        self._prefix = prefix
+        self.informant_size = view.informant_size
 
     def target_bit(self, pos):
-        return self._through(pos, self._view.target_bit)
+        k = len(self._prefix)
+        # 0 <= keeps a negative position on its way to the session view,
+        # which rejects it; prefix[-1] would answer it
+        if 0 <= pos < k:
+            return int(self._prefix[pos])
+        return self._view.target_bit(pos - k)
 
     def informant_bit(self, j, pos):
-        return self._through(pos, lambda q: self._view.informant_bit(j, q))
+        k = len(self._prefix)
+        if 0 <= pos < k:
+            return int(self._prefix[pos])
+        return self._view.informant_bit(j, pos - k)
 
 
 class TransportLearner(Learner):
-    """Runs the base learner on the reduction's images, stage for stage."""
+    """Runs the base learner, stage for stage, on the words with `prefix`
+    put in front: the reduction w -> prefix + w."""
 
-    def __init__(self, base: Learner, reduction: Reduction):
+    def __init__(self, base: Learner, prefix: str):
         self.base = base
-        self.reduction = reduction
+        self.prefix = prefix
 
     def fresh_state(self):
         return self.base.fresh_state()
 
     def use_bound_at(self, stage: int) -> int:
-        return self.reduction.modulus(self.base.use_bound_at(stage))
+        return max(self.base.use_bound_at(stage) - len(self.prefix), 0)
 
     def pointer_of(self, state):
         return self.base.pointer_of(state)
 
     def step(self, state, stage: int, view):
-        return self.base.step(state, stage, _TransportedView(view, self.reduction))
+        return self.base.step(state, stage, _PrefixedView(view, self.prefix))
 
 
 class CyclingLearner(Learner):
@@ -422,11 +388,8 @@ class RecentOnesLearner(Learner):
         return state, 1 + ones
 
 
-_REDUCTIONS = {
-    "identity": identity_reduction,
-    "prefix0": lambda: prefix_reduction(0),
-    "prefix1": lambda: prefix_reduction(1),
-}
+# each reduction puts its fixed bits in front of every word
+_REDUCTIONS = {"identity": "", "prefix0": "0", "prefix1": "1"}
 
 
 def _parse_rows_file(text: str):
@@ -474,7 +437,7 @@ def learner_from_string(spec: str, relation=None, informant: Informant | None = 
             raise ConfigError(f"unknown reduction {red_name!r}; have {', '.join(sorted(_REDUCTIONS))}")
         if not inner:
             raise ConfigError("transport needs an inner learner string")
-        return TransportLearner(learner_from_string(inner, relation, informant, base_dir), _REDUCTIONS[red_name]())
+        return TransportLearner(learner_from_string(inner, relation, informant, base_dir), _REDUCTIONS[red_name])
     if kind == "cycling":
         return CyclingLearner(need_classes(), number())
     if kind == "constant":

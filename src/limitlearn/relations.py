@@ -45,8 +45,6 @@ class RelationSpec:
     code: object | None
     decide: object
     learnable: str
-    summary: str
-    params: object | None = None
 
 
 # ------------------------------------------------------------------- trees
@@ -267,12 +265,12 @@ def catalog_rows():
 def make_relation(name: str, params: TreeSpec | None = None) -> RelationSpec:
     if name not in _CATALOG:
         raise ConfigError(f"unknown relation {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
-    learnable, summary, decide, code_fn = _CATALOG[name]
+    learnable, _, decide, code_fn = _CATALOG[name]
     if name == "tree":
         if params is None:
             raise ConfigError("relation tree needs a TreeSpec")
         learnable = "YES" if tree_is_wellfounded(params) else "NO"
-        return RelationSpec("tree", None, _tree_decider(params), learnable, summary, params)
+        return RelationSpec("tree", None, _tree_decider(params), learnable)
     if params is not None:
         raise ConfigError(f"relation {name!r} takes no tree parameter")
-    return RelationSpec(name, code_fn() if code_fn else None, decide, learnable, summary)
+    return RelationSpec(name, code_fn() if code_fn else None, decide, learnable)

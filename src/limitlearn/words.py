@@ -22,7 +22,6 @@ __all__ = [
     "interleave",
     "finite_support_word",
     "drop_first",
-    "prefix_with",
 ]
 
 
@@ -155,7 +154,3 @@ def finite_support_word(i: int) -> Word:
 
 def drop_first(w: Word) -> Word:
     return from_bits(lambda i: w.bit(i + 1), max(len(w.pre) - 1, 0), len(w.per))
-
-
-def prefix_with(bit: int, w: Word) -> Word:
-    return from_bits(lambda i: bit if i == 0 else w.bit(i - 1), len(w.pre) + 1, len(w.per))

@@ -118,6 +118,43 @@ def test_adversary_output(capsys):
     assert out == "verdict=LEARNER_STUCK stages= target=|0 witness=|0\n"
 
 
+TRANSPORT_SIMULATE_LINES = [
+    "stage=0 hypothesis=0 pointer=0 bitsReadCount=0",
+    "stage=1 hypothesis=0 pointer=0 bitsReadCount=0",
+    "stage=2 hypothesis=0 pointer=0 bitsReadCount=2",
+    "stage=3 hypothesis=2 pointer=3 bitsReadCount=5",
+    "stage=4 hypothesis=1 pointer=4 bitsReadCount=0",
+    "stage=5 hypothesis=0 pointer=5 bitsReadCount=2",
+    "stage=6 hypothesis=3 pointer=6 bitsReadCount=2",
+    "stage=7 hypothesis=2 pointer=7 bitsReadCount=0",
+    "stage=8 hypothesis=1 pointer=8 bitsReadCount=0",
+    "stage=9 hypothesis=1 pointer=8 bitsReadCount=14",
+    "stage=10 hypothesis=1 pointer=8 bitsReadCount=2",
+    "stage=11 hypothesis=1 pointer=8 bitsReadCount=2",
+    "stage=12 hypothesis=1 pointer=8 bitsReadCount=2",
+    "summary mindChanges=6 lastChangeStage=8 exCorrectAtHorizon=true "
+    "bcCorrectSuffixStart=8 certified=-",
+]
+
+
+def test_transport_transcripts(capsys, workdir):
+    """A transported learner reads its input behind the reduction's fixed
+    bits; bitsReadCount counts the input bits it reached."""
+    code, out, _ = run_cli(
+        capsys, "simulate", "--config", str(workdir / "run.cfg"),
+        "--learner", "transport:prefix1:synth:e0.s2f", "--informant", "|1", "|0",
+        "--horizon", "12",
+    )
+    assert code == 0
+    assert out.splitlines() == TRANSPORT_SIMULATE_LINES
+    code, out, _ = run_cli(
+        capsys, "adversary", "--relation", "sim0",
+        "--learner", "transport:prefix1:recent-ones:3", "--patience", "8", "--rounds", "3",
+    )
+    assert code == 0
+    assert out == "verdict=FORCED(3) stages=1,5,6,9 target=100010001|0\n"
+
+
 def test_falsify_all_candidates(capsys):
     code, out, _ = run_cli(capsys, "falsify", "--relation", "sim0", "--max-size", "3")
     assert code == 0
@@ -213,6 +250,11 @@ def test_config_errors_exit_2(capsys, workdir, tmp_path):
         ("crosscheck", "--relation", "e0", "--samples", "0"),             # no sample
         ("falsify", "--relation", "e0", "--code", "e0.s2f",
          "--config", str(workdir / "run.cfg"), "--max-size", "8"),        # pool too big
+        ("adversary", "--relation", "sim0", "--learner", "constant:0",
+         "--patience", "1000001", "--rounds", "1"),                       # patience past cap
+        ("adversary", "--relation", "sim0", "--learner", "recent-ones",
+         "--rounds", "1001"),                                             # rounds past cap
+        ("crosscheck", "--relation", "e0", "--samples", "100001"),        # samples past cap
         ("catalog", "--horizon", "0"),                                    # checked everywhere
     ]
     for argv in cases:

@@ -33,17 +33,15 @@ from limitlearn.learners import (
     CountableClassLearner,
     CyclingLearner,
     Informant,
+    Learner,
     RecentOnesLearner,
-    Reduction,
     SeparatorLearner,
     SynthLearner,
     TransportLearner,
     cantor_pair,
     cantor_unpair,
     class_index_sets,
-    identity_reduction,
     learner_from_string,
-    prefix_reduction,
 )
 from limitlearn.relations import e0_code, id_code, make_relation
 from limitlearn.simulation import run_session
@@ -341,37 +339,55 @@ def test_recent_ones_learner():
 
 # --------------------------------------------------------------- reductions
 
-def test_reduction_word_maps():
-    assert identity_reduction().apply_word(W("|01")) == W("|01")
-    assert prefix_reduction(0).apply_word(W("|1")) == W("0|1")
-    assert prefix_reduction(1).apply_word(W("|0")) == W("1|0")
-    with pytest.raises(ConfigError):
-        prefix_reduction(2)
+def image(prefix, w):
+    """The reduction's image of w: the prefix bits in front of it."""
+    return W(prefix + w.literal)
 
 
-def test_reduction_moduli():
-    assert [identity_reduction().modulus(k) for k in (0, 3)] == [0, 3]
-    assert [prefix_reduction(1).modulus(k) for k in (0, 1, 3)] == [0, 0, 2]
+class NegativeReader(Learner):
+    def use_bound_at(self, stage):
+        return 1
+
+    def step(self, state, stage, view):
+        return state, view.target_bit(-1)
 
 
 def test_transport_agrees_with_base_on_images():
     base_words = [W("|1"), W("|0")]
-    red = prefix_reduction(1)
-    base = SynthLearner(e0_code(), Informant.explicit([red.apply_word(w) for w in base_words]))
-    transported = TransportLearner(
-        SynthLearner(e0_code(), Informant.explicit(base_words)), red
-    )
+    base = SynthLearner(e0_code(), Informant.explicit(base_words))
+    transported = TransportLearner(base, "1")
     hyps_t, _ = drive(transported, W("|0"), base_words, 9)
-    hyps_b, _ = drive(base, red.apply_word(W("|0")), [red.apply_word(w) for w in base_words], 9)
+    hyps_b, _ = drive(base, image("1", W("|0")), [image("1", w) for w in base_words], 9)
     assert hyps_t == hyps_b
-    assert transported.use_bound_at(5) == red.modulus(base.use_bound_at(5)) == 5
+    # the base reads below s + 1; the prefix answers bit 0 of each image
+    assert [transported.use_bound_at(s) for s in (0, 1, 5)] == [0, 1, 5]
+    assert TransportLearner(base, "").use_bound_at(5) == base.use_bound_at(5) == 6
+    assert TransportLearner(ConstantLearner(0), "0").use_bound_at(5) == 0
+    # position -1 is not the prefix's last bit: the session view rejects it
+    with pytest.raises(ConfigError):
+        run_session(TransportLearner(NegativeReader(), "1"), W("|0"),
+                    Informant.explicit(base_words), 1)
 
 
-def test_transport_catches_modulus_violations():
-    greedy = Reduction("bad", lambda k: 0, lambda pos, src: src(pos), lambda w: w)
-    l = TransportLearner(RecentOnesLearner(2), greedy)
-    with pytest.raises(ContractViolation):
-        drive(l, W("|1"), [], 2)
+TRANSPORT_BASES = [
+    SynthLearner(e0_code(), Informant.finite_support()),
+    RecentOnesLearner(2),
+    ConstantLearner(1),
+    CountableClassLearner([[W("1|0"), W("|01")], [W("01|1")]]),
+]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["", "0", "1"]), st.sampled_from(TRANSPORT_BASES), small_words,
+       st.lists(small_words, min_size=1, max_size=4), st.integers(1, 40))
+def test_transport_runs_the_base_on_the_images(prefix, base, target, ws, horizon):
+    """Under run_session, which enforces the use bounds, the transported
+    learner on (target, ws) emits what the base emits on the images."""
+    got = run_session(TransportLearner(base, prefix), target, Informant.explicit(ws), horizon)
+    want = run_session(base, image(prefix, target),
+                       Informant.explicit([image(prefix, w) for w in ws]), horizon)
+    assert got.hypotheses == want.hypotheses
+    assert got.pointers == want.pointers
 
 
 # ---------------------------------------------------------- selection names
@@ -406,7 +422,7 @@ def test_learner_from_string(spec_dir):
     assert isinstance(l, BcToExLearner) and isinstance(l.inner, CyclingLearner)
 
     l = learner_from_string("transport:prefix1:constant:3", relation=e0, informant=inf)
-    assert isinstance(l, TransportLearner) and l.reduction.name == "prefix1"
+    assert isinstance(l, TransportLearner) and l.prefix == "1"
     assert isinstance(l.base, ConstantLearner) and l.base.hypothesis == 3
 
     assert isinstance(learner_from_string("constant:"), ConstantLearner)

@@ -19,7 +19,6 @@ from limitlearn.words import (
     from_bits,
     interleave,
     parse_word,
-    prefix_with,
     split_even_odd,
     with_bits,
 )
@@ -161,15 +160,6 @@ def test_drop_first_shifts(pre, per):
     d = drop_first(w)
     for i in range(w.size + 4):
         assert d.bit(i) == w.bit(i + 1)
-
-
-@given(st.sampled_from("01"), bits, periods)
-def test_prefix_with_shifts(b, pre, per):
-    w = Word(pre, per)
-    p = prefix_with(int(b), w)
-    assert p.bit(0) == int(b)
-    for i in range(w.size + 4):
-        assert p.bit(i + 1) == w.bit(i)
 
 
 def test_from_bits():
