@@ -169,7 +169,7 @@ def falsify_inf_classifier(code, relation, max_size: int):
 
 
 def candidate_codes():
-    """Small two-level codes a falsifier must defeat, all of size ≤ 6."""
+    """Small two-level codes a falsifier must defeat."""
     return (
         ("always-true", ExistsForall(Le(const_term(0), const_term(0)))),
         ("always-false", ExistsForall(Le(const_term(1), const_term(0)))),

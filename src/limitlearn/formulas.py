@@ -43,7 +43,6 @@ __all__ = [
     "exact_outer_bound",
     "least_refutation",
     "exists_forall_witness",
-    "formula_size",
     "parse_formula",
     "parse_formulas",
     "format_formula",
@@ -376,16 +375,6 @@ def compile_pred(p, xbit, ybit):
     return lambda n, m: holds(bit, n, m, m + 1)
 
 
-# ------------------------------------------------------------ formula level
-
-
-def formula_size(f) -> int:
-    """Node count over the formula tree and every predicate AST (terms free)."""
-    def size(node, kind):
-        return 1 + sum(size(v, k) for k, v in _form(node, kind)[1] if k in "pf")
-    return size(f, "f")
-
-
 # ------------------------------------------------------------- exact truth
 #
 # For a fixed outer value n, every atom's truth is periodic in m with period
@@ -421,13 +410,6 @@ def formula_size(f) -> int:
 # or past the length its search asks for.
 
 
-def _lowering(f) -> Lowered:
-    """The lowering of a predicate, of an EF atom's predicate, or f if lowered."""
-    if isinstance(f, Lowered):
-        return f
-    return f.lowered if isinstance(f, ExistsForall) else lower(f)
-
-
 def _exact_bounds(low: Lowered, x, y):
     """Scan bounds of the exact EF search on x, y, as (floor, mu, lift, outer).
 
@@ -445,15 +427,15 @@ def _exact_bounds(low: Lowered, x, y):
     return big_l + period, mu, kappa + 1 + period, outer
 
 
-def exact_inner_bound(f, x, y, n: int) -> int:
+def exact_inner_bound(low: Lowered, x, y, n: int) -> int:
     if n < 0:
         raise ConfigError(f"negative outer value {n}")
-    floor, mu, lift, _ = _exact_bounds(_lowering(f), x, y)
+    floor, mu, lift, _ = _exact_bounds(low, x, y)
     return max(floor, mu * n + lift)
 
 
-def exact_outer_bound(f, x, y) -> int:
-    return _exact_bounds(_lowering(f), x, y)[3]
+def exact_outer_bound(low: Lowered, x, y) -> int:
+    return _exact_bounds(low, x, y)[3]
 
 
 def _bits(w, length: int) -> int:
@@ -469,9 +451,8 @@ def _bits(w, length: int) -> int:
     return value
 
 
-def least_refutation(pred, x, y, n: int) -> int | None:
-    """Least m at which pred (or its lowering) fails at outer value n; None if it never does."""
-    low = _lowering(pred)
+def least_refutation(low: Lowered, x, y, n: int) -> int | None:
+    """Least m at which the lowered predicate fails at outer value n; None if it never does."""
     width = exact_inner_bound(low, x, y, n)
     length = n + width + COEFF_CAP
     full = (1 << width) - 1
@@ -479,7 +460,7 @@ def least_refutation(pred, x, y, n: int) -> int | None:
     return (miss & -miss).bit_length() - 1 if miss else None
 
 
-def _exact_ef_atom(low: Lowered, x, y) -> int | None:
+def exists_forall_witness(low: Lowered, x, y) -> int | None:
     """Least exact witness n of the EF atom over the lowered predicate, or None."""
     floor, mu, lift, outer = _exact_bounds(low, x, y)
     # positions read at n < outer stay below n + width(n) + kappa
@@ -487,18 +468,12 @@ def _exact_ef_atom(low: Lowered, x, y) -> int | None:
     return low.search(_bits(x, length), _bits(y, length), floor, mu, lift, outer)
 
 
-def exists_forall_witness(f, x, y) -> int | None:
-    if not isinstance(f, ExistsForall):
-        raise ConfigError("witness search needs a single EF atom")
-    return _exact_ef_atom(f.lowered, x, y)
-
-
 def eval_exact_ep(f, x, y) -> bool:
     """Exact two-level truth on eventually periodic words."""
     if isinstance(f, ExistsForall):
-        return _exact_ef_atom(f.lowered, x, y) is not None
+        return exists_forall_witness(f.lowered, x, y) is not None
     if isinstance(f, ForallExists):
-        return _exact_ef_atom(f.lowered, x, y) is None
+        return exists_forall_witness(f.lowered, x, y) is None
     if isinstance(f, FAnd):
         return eval_exact_ep(f.left, x, y) and eval_exact_ep(f.right, x, y)
     if isinstance(f, FOr):

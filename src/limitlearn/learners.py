@@ -150,7 +150,6 @@ class SynthLearner(Learner):
         if not isinstance(code, ExistsForall):
             raise ConfigError("synthesizer needs a single exists-forall atom")
         self.code = code
-        self.pred = code.pred
         self.lowered = code.lowered
         self._use = _stage_use([self.lowered])
         self.informant = informant
@@ -314,6 +313,10 @@ class _PrefixedView:
     def informant_bit(self, j, pos):
         k = len(self._prefix)
         if 0 <= pos < k:
+            # the session view is not asked here, so reject a bad index as it would
+            size = self.informant_size
+            if j < 0 or size is not None and j >= size:
+                raise ConfigError(f"informant index {j} out of range")
             return int(self._prefix[pos])
         return self._view.informant_bit(j, pos - k)
 

@@ -206,29 +206,29 @@ OSC_COUNT_BOUND = 16
 OSC_WINDOW = 64
 
 
-def oscillation_display_holds(x, y, count_bound: int = OSC_COUNT_BOUND, window: int = OSC_WINDOW) -> bool:
+def oscillation_display_holds(x, y) -> bool:
     """Direct evaluation of the oscillation display over bounded parameters.
 
-    Checks whether some N <= count_bound works for every open interval
-    (n, n+m) with n+m <= window.
+    Checks whether some N <= OSC_COUNT_BOUND works for every open interval
+    (n, n+m) with n+m <= OSC_WINDOW.
     """
     sx = [0]
     sy = [0]
-    for i in range(window + 1):
+    for i in range(OSC_WINDOW + 1):
         sx.append(sx[-1] + x.bit(i))
         sy.append(sy[-1] + y.bit(i))
 
     def worst(szero, sones):
         worst_count = 0
-        for n in range(window + 1):
-            for top in range(n + 2, window + 1):
+        for n in range(OSC_WINDOW + 1):
+            for top in range(n + 2, OSC_WINDOW + 1):
                 # open interval (n, top): positions n+1 .. top-1
                 if szero[top] - szero[n + 1] == 0:
                     worst_count = max(worst_count, sones[top] - sones[n + 1])
         return worst_count
 
     needed = max(worst(sx, sy), worst(sy, sx)) + 1
-    return needed <= count_bound
+    return needed <= OSC_COUNT_BOUND
 
 
 # ------------------------------------------------------------------ catalog

@@ -26,6 +26,8 @@ OSC_MAX_PRE = 4
 OSC_MAX_PER = 3
 
 _RETRY_CAP = 1000
+_MAX_FLIPS = 3
+_MAX_INFORMANT = 8
 
 
 def _bits(rng, n: int) -> str:
@@ -46,10 +48,10 @@ def random_inf_word(rng, max_pre: int = 6, max_per: int = 4) -> Word:
     return Word(_bits(rng, rng.randrange(max_pre + 1)), per)
 
 
-def flip_finitely(rng, w: Word, max_flips: int = 3) -> Word:
+def flip_finitely(rng, w: Word) -> Word:
     """A word differing from w in finitely many (possibly zero) positions."""
     span = w.size + 4
-    flips = {rng.randrange(span) for _ in range(rng.randrange(max_flips + 1))}
+    flips = {rng.randrange(span) for _ in range(rng.randrange(_MAX_FLIPS + 1))}
     return words.with_bits(w, {p: 1 - w.bit(p) for p in flips})
 
 
@@ -79,24 +81,24 @@ def _fill(rng, relation, target: Word, count: int, want_related: bool) -> list[W
     return out
 
 
-def related_case(rng, relation, max_informant: int = 8) -> tuple[Word, tuple[Word, ...]]:
-    """Target plus an informant of at most max_informant words, at least one
+def related_case(rng, relation) -> tuple[Word, tuple[Word, ...]]:
+    """Target plus an informant of at most _MAX_INFORMANT words, at least one
     of which the relation's oracle confirms as related to the target."""
     target = random_word(rng)
     if relation.name == "e0":
         related = flip_finitely(rng, target)
     else:
         related = target
-    size = rng.randrange(1, max_informant + 1)
+    size = rng.randrange(1, _MAX_INFORMANT + 1)
     informant = _fill(rng, relation, target, size - 1, want_related=False)
     informant.insert(rng.randrange(size), related)
     return target, tuple(informant)
 
 
-def unrelated_case(rng, relation, max_informant: int = 8) -> tuple[Word, tuple[Word, ...]]:
+def unrelated_case(rng, relation) -> tuple[Word, tuple[Word, ...]]:
     """Target plus an informant none of whose members relate to the target."""
     target = random_word(rng)
-    size = rng.randrange(1, max_informant + 1)
+    size = rng.randrange(1, _MAX_INFORMANT + 1)
     return target, tuple(_fill(rng, relation, target, size, want_related=False))
 
 

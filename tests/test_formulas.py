@@ -42,7 +42,6 @@ from limitlearn.formulas import (
     exact_outer_bound,
     exists_forall_witness,
     format_formula,
-    formula_size,
     least_refutation,
     lower,
     parse_formula,
@@ -180,21 +179,14 @@ def test_compile_reads_what_eval_pred_reads_in_its_order(p, x, y, n, lo, span):
     assert compiled == reference
 
 
-# -------------------------------------------------------------- formulas
-
-def test_formula_sizes():
-    assert formula_size(id_code()) == 2
-    assert formula_size(e0_code()) == 4
-    assert formula_size(FAnd(id_code(), e0_code())) == 7
-
-
 # ------------------------------------------------------------ exact truth
 
 def test_exact_least_witness():
     # single flipped bit at position 3: the cutoff must clear it
-    assert exists_forall_witness(e0_code(), Word("", "0"), Word("0001", "0")) == 4
-    assert exists_forall_witness(e0_code(), Word("", "0"), Word("", "0")) == 0
-    assert exists_forall_witness(e0_code(), Word("", "01"), Word("", "10")) is None
+    low = e0_code().lowered
+    assert exists_forall_witness(low, Word("", "0"), Word("0001", "0")) == 4
+    assert exists_forall_witness(low, Word("", "0"), Word("", "0")) == 0
+    assert exists_forall_witness(low, Word("", "01"), Word("", "10")) is None
 
 
 def test_exact_frozen_decisions():
@@ -226,14 +218,14 @@ def test_exact_witness_matches_a_wider_brute_force_scan(p, x, y, fe):
     before it, and it holds over the whole scan.  An FE code is exactly the
     negation of the EF code over the negated predicate."""
     pred = Not(p) if fe else p
-    ef = ExistsForall(pred)
-    witness = exists_forall_witness(ef, x, y)
+    low = lower(pred)
+    witness = exists_forall_witness(low, x, y)
 
     def survives(n):
-        scan = 3 * exact_inner_bound(ef, x, y, n)
+        scan = 3 * exact_inner_bound(low, x, y, n)
         return all(eval_pred(pred, x, y, n, m) for m in range(scan))
 
-    first = next((n for n in range(3 * exact_outer_bound(ef, x, y)) if survives(n)), None)
+    first = next((n for n in range(3 * exact_outer_bound(low, x, y)) if survives(n)), None)
     assert first == witness
     code = ForallExists(p) if fe else ExistsForall(p)
     assert eval_exact_ep(code, x, y) == ((first is None) if fe else (first is not None))
@@ -241,17 +233,17 @@ def test_exact_witness_matches_a_wider_brute_force_scan(p, x, y, fe):
 
 def test_exact_refutations_are_concrete():
     x, y = Word("1", "0"), Word("", "0")
-    pred = e0_code().pred
-    n_star = exists_forall_witness(e0_code(), x, y)
+    pred, low = e0_code().pred, e0_code().lowered
+    n_star = exists_forall_witness(low, x, y)
     for n in range(n_star):
-        m = least_refutation(pred, x, y, n)
+        m = least_refutation(low, x, y, n)
         assert m is not None
         assert eval_pred(pred, x, y, n, m) is False
-    assert least_refutation(pred, x, y, n_star) is None
+    assert least_refutation(low, x, y, n_star) is None
     # there is no outer value -1, whatever the code
     for p in (pred, BitOf("x", IndexTerm(1, 0, 0))):
         with pytest.raises(ConfigError):
-            least_refutation(p, x, y, -1)
+            least_refutation(lower(p), x, y, -1)
 
 
 # le constants reach past the n part, so empty, partial and full ranges of m occur
@@ -273,22 +265,23 @@ sized_words = st.sampled_from(enumerate_words(5))
 @given(range_preds, sized_words, sized_words, st.integers(0, 12))
 def test_least_refutation_matches_eval_pred_at_every_m(p, x, y, n):
     """The inner scan decides each m below the inner bound as eval_pred does."""
-    bound = exact_inner_bound(p, x, y, n)
+    low = lower(p)
+    bound = exact_inner_bound(low, x, y, n)
     first = next((m for m in range(bound) if not eval_pred(p, x, y, n, m)), None)
-    assert least_refutation(p, x, y, n) == first
+    assert least_refutation(low, x, y, n) == first
 
 
 @settings(max_examples=300, deadline=None)
 @given(range_preds, sized_words, sized_words)
 def test_exact_witness_is_the_first_n_surviving_its_inner_bound(p, x, y):
     """The generated outer loop, across empty, partial and full le ranges."""
-    ef = ExistsForall(p)
+    low = lower(p)
 
     def survives(n):
-        return all(eval_pred(p, x, y, n, m) for m in range(exact_inner_bound(ef, x, y, n)))
+        return all(eval_pred(p, x, y, n, m) for m in range(exact_inner_bound(low, x, y, n)))
 
-    first = next((n for n in range(exact_outer_bound(ef, x, y)) if survives(n)), None)
-    assert exists_forall_witness(ef, x, y) == first
+    first = next((n for n in range(exact_outer_bound(low, x, y)) if survives(n)), None)
+    assert exists_forall_witness(low, x, y) == first
 
 
 # terms with no n part: the search tries n = 0 alone
@@ -311,13 +304,13 @@ def test_n_free_codes_find_the_first_surviving_n(p, x, y, fe):
     """Every n below the outer bound is scanned here, although the search
     tries only n = 0; EF and FE codes both follow the scan."""
     pred = Not(p) if fe else p
-    ef = ExistsForall(pred)
+    low = lower(pred)
 
     def survives(n):
-        return all(eval_pred(pred, x, y, n, m) for m in range(exact_inner_bound(ef, x, y, n)))
+        return all(eval_pred(pred, x, y, n, m) for m in range(exact_inner_bound(low, x, y, n)))
 
-    first = next((n for n in range(exact_outer_bound(ef, x, y)) if survives(n)), None)
-    assert exists_forall_witness(ef, x, y) == first
+    first = next((n for n in range(exact_outer_bound(low, x, y)) if survives(n)), None)
+    assert exists_forall_witness(low, x, y) == first
     code = ForallExists(p) if fe else ExistsForall(p)
     assert eval_exact_ep(code, x, y) == ((first is None) if fe else (first is not None))
 
@@ -348,8 +341,8 @@ def test_exact_inner_bound_rejects_negative_outer_values():
     for code in (e0_code(), id_code()):
         for n in (-1, -7):
             with pytest.raises(ConfigError, match="negative outer value"):
-                exact_inner_bound(code, x, y, n)
-    assert exact_inner_bound(e0_code(), x, y, 0) >= 1
+                exact_inner_bound(code.lowered, x, y, n)
+    assert exact_inner_bound(e0_code().lowered, x, y, 0) >= 1
 
 
 def test_lower_rejects_a_predicate_too_deep_to_compile():
@@ -361,12 +354,19 @@ def test_lower_rejects_a_predicate_too_deep_to_compile():
 
 
 def test_exact_rejects_unsupported_atoms():
+    """Every exact entry refuses a CountLe code and a coefficient-2 code."""
     counting = ExistsForall(CountLe("x", const_term(0), TERM_N, const_term(1)))
-    with pytest.raises(UnsupportedAtomError):
-        eval_exact_ep(counting, Word("", "0"), Word("", "0"))
     steep = ExistsForall(BitEq(IndexTerm(0, 2, 0), TERM_M))
-    with pytest.raises(UnsupportedAtomError):
-        eval_exact_ep(steep, Word("", "0"), Word("", "0"))
+    w = Word("", "0")
+    for code in (counting, steep):
+        low = code.lowered
+        for check in (lambda: eval_exact_ep(code, w, w),
+                      lambda: exists_forall_witness(low, w, w),
+                      lambda: least_refutation(low, w, w, 0),
+                      lambda: exact_inner_bound(low, w, w, 0),
+                      lambda: exact_outer_bound(low, w, w)):
+            with pytest.raises(UnsupportedAtomError):
+                check()
 
 
 def test_exact_on_compound_formulas():

@@ -190,7 +190,7 @@ class ReferenceSynthLearner(SynthLearner):
             a, b = cantor_unpair(k)
             if size is None or a < size:
                 y = SimpleNamespace(bit=lambda i, a=a: view.informant_bit(a, i))
-                if all(eval_pred(self.pred, x, y, b, m) for m in range(next_m, stage)):
+                if all(eval_pred(self.code.pred, x, y, b, m) for m in range(next_m, stage)):
                     next_m = stage
                     break
             k += 1
@@ -352,6 +352,19 @@ class NegativeReader(Learner):
         return state, view.target_bit(-1)
 
 
+class InformantReader(Learner):
+    """Reads informant index j at position 0, once per stage."""
+
+    def __init__(self, j):
+        self.j = j
+
+    def use_bound_at(self, stage):
+        return 1
+
+    def step(self, state, stage, view):
+        return state, view.informant_bit(self.j, 0)
+
+
 def test_transport_agrees_with_base_on_images():
     base_words = [W("|1"), W("|0")]
     base = SynthLearner(e0_code(), Informant.explicit(base_words))
@@ -367,6 +380,18 @@ def test_transport_agrees_with_base_on_images():
     with pytest.raises(ConfigError):
         run_session(TransportLearner(NegativeReader(), "1"), W("|0"),
                     Informant.explicit(base_words), 1)
+
+
+def test_transport_rejects_informant_indices_out_of_range():
+    """A read inside the prefix checks the informant index as the session
+    view does past it."""
+    for j in (7, -1):
+        with pytest.raises(ConfigError, match=f"informant index {j} out of range"):
+            run_session(TransportLearner(InformantReader(j), "1"), W("|0"),
+                        Informant.explicit([W("|1")]), 1)
+    trace = run_session(TransportLearner(InformantReader(0), "1"), W("|0"),
+                        Informant.explicit([W("|1")]), 1)
+    assert trace.hypotheses == (1, 1)
 
 
 TRANSPORT_BASES = [

@@ -115,8 +115,9 @@ def test_oscillation_display_spot_values():
     assert not oscillation_display_holds(W("|0"), W("|1"))
     assert oscillation_display_holds(W("1|0"), W("111|0"))
     assert oscillation_display_holds(W("|01"), W("|1"))
-    # a tight budget fails even a related pair
-    assert not oscillation_display_holds(W("1111|0"), W("|0"), count_bound=2, window=16)
+    # seventeen ones over the other word's zero run exceed the count bound,
+    # although the pair is related
+    assert not oscillation_display_holds(W("1" * 17 + "|0"), W("|0"))
     assert OSC_COUNT_BOUND == 16
 
 

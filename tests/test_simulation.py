@@ -297,7 +297,7 @@ def test_certificate_refutations_are_genuine():
         if m is None:
             assert w is None
         else:
-            assert eval_pred(learner.pred, target, w, b, m) is False
+            assert eval_pred(learner.code.pred, target, w, b, m) is False
 
 
 # ------------------------------------------------------------ use principle
