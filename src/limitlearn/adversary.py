@@ -43,9 +43,9 @@ class AdversaryRun:
     committed_target: Word
     phase_log: tuple
     mind_change_stages: tuple
-    verdict: str                    # FORCED | LEARNER_STUCK | BUDGET_EXHAUSTED
-    forced_rounds: int | None = None
-    witness: Word | None = None
+    verdict: str                    # FORCED | LEARNER_STUCK
+    forced_rounds: int | None
+    witness: Word | None
 
 
 def inf_family_informant() -> Informant:
@@ -57,14 +57,13 @@ def inf_family_informant() -> Informant:
 
 class _GrowingTargetView:
     """Stage view over a target defined by a mutable set of one-positions;
-    `frontier` rises to one past each target position read."""
+    `frontier` rises to one past each target position read.  The diagonalizer
+    advances one view through the stages, as `run_session` does."""
 
-    def __init__(self, ones, informant, stage, bound, frontier):
+    def __init__(self, ones, informant):
         self._ones = ones
         self._informant = informant
-        self._stage = stage
-        self._bound = bound
-        self.frontier = frontier
+        self._stage = self._bound = self.frontier = 0
         self.informant_size = informant.size
 
     def target_bit(self, pos):
@@ -100,7 +99,7 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
     one_rep = informant.word(0)
 
     ones: set[int] = set()
-    frontier = 0
+    view = _GrowingTargetView(ones, informant)
     state = learner.fresh_state()
     stage = 0
     hyp = None
@@ -110,11 +109,9 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
     for r in range(rounds):
         fed = 0
         while True:
-            view = _GrowingTargetView(ones, informant, stage, learner.use_bound_at(stage),
-                                      frontier)
+            view._stage, view._bound = stage, learner.use_bound_at(stage)
             prev_hyp = hyp
             state, hyp = learner.step(state, stage, view)
-            frontier = view.frontier
             if prev_hyp is not None and hyp != prev_hyp:
                 mind_changes.append(stage)
             stage += 1
@@ -131,10 +128,10 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
                 return AdversaryRun(witness, tuple(phase_log), tuple(mind_changes),
                                     "LEARNER_STUCK", None, witness)
         # every committed one sits below the frontier, so this one is past them all
-        ones.add(frontier)
+        ones.add(view.frontier)
         phase_log.append(f"round {r}: left 0 after {fed} zero-fed stages, "
-                         f"committed 1 at {frontier}")
-        frontier += 1
+                         f"committed 1 at {view.frontier}")
+        view.frontier += 1
 
     committed = words.from_bits(lambda i: int(i in ones), max(ones, default=-1) + 1, 1)
     return AdversaryRun(committed, tuple(phase_log), tuple(mind_changes),

@@ -35,10 +35,6 @@ class UnsupportedAtomError(LimitlearnError):
 class CrosscheckDisagreement(LimitlearnError):
     """Two deciders that must agree returned different answers."""
 
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
 
 def natural(text, what: str, lo: int = 0, hi: int | None = None) -> int:
     """`text`, an int or a string of ASCII digits, as a natural number in

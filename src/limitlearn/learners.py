@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,10 +69,6 @@ class Informant:
     @staticmethod
     def from_function(fn) -> "Informant":
         return Informant(fn=fn)
-
-    @staticmethod
-    def finite_support() -> "Informant":
-        return Informant(fn=words.finite_support_word)
 
     @property
     def is_explicit(self) -> bool:
@@ -197,7 +194,6 @@ class SeparatorLearner(Learner):
                 raise ConfigError("separator codes must be single exists-forall atoms")
             if {side for side, _, _ in code.lowered.reads} - {"x"}:
                 raise ConfigError("separator codes must mention only the target side x")
-        self.codes = set_codes
         self.lowered = tuple(c.lowered for c in set_codes)
         self._use = _stage_use(self.lowered)
 
@@ -207,7 +203,7 @@ class SeparatorLearner(Learner):
         bit = (view.target_bit, view.target_bit)
         for idx in range(stage):
             i, n = cantor_unpair(idx)
-            if i < len(self.codes) and self.lowered[i].holds(bit, n, 0, stage):
+            if i < len(self.lowered) and self.lowered[i].holds(bit, n, 0, stage):
                 return state, i
         return state, stage
 
@@ -249,13 +245,6 @@ class ClassIndexSets:
                 if self.blocks[j] != block:
                     raise ConfigError(f"class blocks e_{i} and e_{j} disagree")
 
-    def e(self, i: int):
-        return self.blocks[i]
-
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
-
 
 def class_index_sets(relation, informant_words) -> ClassIndexSets:
     ws = tuple(informant_words)
@@ -285,11 +274,11 @@ class BcToExLearner(Learner):
 
     def step(self, state, stage: int, view):
         state, h = self.inner.step(state, stage, view)
-        if not 0 <= h < self.classes.count:
+        if not 0 <= h < len(self.classes.blocks):
             raise ContractViolation(
-                f"hypothesis {h} outside the class structure over {self.classes.count} indices"
+                f"hypothesis {h} outside the class structure over {len(self.classes.blocks)} indices"
             )
-        return state, min(self.classes.e(h))
+        return state, min(self.classes.blocks[h])
 
 
 class _PrefixedView:
@@ -346,9 +335,9 @@ class CyclingLearner(Learner):
     """BC-correct fixture: cycles through one class block, never converging."""
 
     def __init__(self, classes: ClassIndexSets, true_class: int):
-        if not 0 <= true_class < classes.count:
+        if not 0 <= true_class < len(classes.blocks):
             raise ConfigError(f"true class {true_class} out of range")
-        block = sorted(classes.e(true_class))
+        block = sorted(classes.blocks[true_class])
         if len(block) < 2:
             raise ConfigError("cycling learner needs a class block with at least 2 elements")
         self.block = block
@@ -393,6 +382,9 @@ class RecentOnesLearner(Learner):
 
 # each reduction puts its fixed bits in front of every word
 _REDUCTIONS = {"identity": "", "prefix0": "0", "prefix1": "1"}
+# each bc2ex: or transport:RED: layer adds a frame to the build and to every
+# step, so 2,000 layers exhaust the stack; the cap mirrors formulas._MAX_NESTING
+_MAX_LAYERS = 64
 
 
 def _parse_rows_file(text: str):
@@ -409,6 +401,8 @@ def _parse_rows_file(text: str):
 
 def learner_from_string(spec: str, relation=None, informant: Informant | None = None, base_dir: str = ".") -> Learner:
     """Build a learner from a selection string like synth:FILE or cycling:2."""
+    if re.match(f"(?:bc2ex:|transport:[^:]*:){{{_MAX_LAYERS + 1}}}", spec):
+        raise ConfigError(f"learner string wraps more than {_MAX_LAYERS} bc2ex/transport layers")
     kind, _, rest = spec.partition(":")
 
     def read():

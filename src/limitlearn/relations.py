@@ -29,7 +29,6 @@ __all__ = [
     "CATALOG_NAMES",
     "catalog_rows",
     "make_relation",
-    "tree_is_wellfounded",
     "branch_word",
     "parse_tree_file",
     "id_code",
@@ -69,12 +68,16 @@ class TreeSpec:
             _check_nat_tuple(v, "generator cycle")
             if not v:
                 raise ConfigError("generator cycle must be nonempty")
+            # branch_word builds this many bits in linear time: falsify on `gen 4000000 : 1`
+            # takes 2.0 s (1,000,000 bits: 0.6 s) on a 2-core Xeon under Python 3.11.7
+            if (u[-1] if u else 0) + 1 + sum(v) > 1_000_000:
+                raise ConfigError(f"generator {u} : {v} spans more than 1,000,000 bits")
         for node in self.nodes:
-            # the root is a member of every nonempty prefix-closed tree
-            for i in range(1, len(node)):
-                q = node[:i]
-                if q not in self.nodes and not _is_branch_prefix(q, self.generators):
-                    raise ConfigError(f"tree not prefix-closed at {q}")
+            # node[:i] lies on a branch exactly for i <= on_branch; the root is in every tree
+            on_branch = max((_shared_labels(node, g) for g in self.generators), default=0)
+            for i in range(on_branch + 1, len(node)):
+                if node[:i] not in self.nodes:
+                    raise ConfigError(f"tree not prefix-closed at {node[:i]}")
 
 
 def _check_nat_tuple(t, what):
@@ -94,12 +97,10 @@ def _branch_labels(gen, count: int) -> list[int]:
     return labels
 
 
-def _is_branch_prefix(q, generators) -> bool:
-    return any(tuple(_branch_labels(g, len(q))) == q for g in generators)
-
-
-def tree_is_wellfounded(t: TreeSpec) -> bool:
-    return not t.generators
+def _shared_labels(node, gen) -> int:
+    """How many leading labels `node` shares with the branch of `gen`."""
+    pairs = zip(node, _branch_labels(gen, len(node)))
+    return next((i for i, (a, b) in enumerate(pairs) if a != b), len(node))
 
 
 def branch_word(gen) -> Word | None:
@@ -269,7 +270,7 @@ def make_relation(name: str, params: TreeSpec | None = None) -> RelationSpec:
     if name == "tree":
         if params is None:
             raise ConfigError("relation tree needs a TreeSpec")
-        learnable = "YES" if tree_is_wellfounded(params) else "NO"
+        learnable = "NO" if params.generators else "YES"
         return RelationSpec("tree", None, _tree_decider(params), learnable)
     if params is not None:
         raise ConfigError(f"relation {name!r} takes no tree parameter")

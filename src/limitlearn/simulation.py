@@ -103,7 +103,6 @@ class SessionTrace:
 @dataclass(frozen=True)
 class ConvergenceCertificate:
     limit_index: int
-    surviving_pair: tuple
     refutations: tuple        # (a, b, m) per earlier pair; m None for range skips
     stabilization_stage: int
 
@@ -182,10 +181,7 @@ def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificat
     """
     if not isinstance(learner, SynthLearner):
         raise ConfigError("certification needs a synthesized learner")
-    informant = learner.informant
-    if not informant.is_explicit:
-        raise ConfigError("certification needs an explicit informant")
-    ws = informant.explicit_words()
+    ws = learner.informant.explicit_words()
 
     truths = [eval_exact_ep(learner.code, target, w) for w in ws]
     if not any(truths):
@@ -201,14 +197,13 @@ def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificat
             continue
         m = least_refutation(learner.lowered, target, ws[a], b)
         if m is None:
-            surviving = (a, b)
             break
         refutations.append((a, b, m))
         k += 1
 
     witnesses = [m for (_, _, m) in refutations if m is not None]
     stabilization = max([k] + [m + 1 for m in witnesses])
-    return ConvergenceCertificate(surviving[0], surviving, tuple(refutations), stabilization)
+    return ConvergenceCertificate(a, tuple(refutations), stabilization)
 
 
 def use_principle_check(learner: Learner, cert: ConvergenceCertificate,
@@ -224,9 +219,7 @@ def use_principle_check(learner: Learner, cert: ConvergenceCertificate,
     """
     if not 0 <= free_bits <= 12:
         raise ConfigError(f"freeBits {free_bits} outside the exhaustive budget [0, 12]")
-    informant = trace.informant
-    if not informant.is_explicit:
-        raise ConfigError("use principle check needs an explicit informant")
+    ws = trace.informant.explicit_words()
     stage = cert.stabilization_stage
     if stage > trace.horizon:
         raise ConfigError("trace too short for the certificate's stabilization stage")
@@ -234,11 +227,11 @@ def use_principle_check(learner: Learner, cert: ConvergenceCertificate,
     queried = {(entry[1], entry[2]) for reads in trace.reads[:stage + 1]
                for entry in reads if entry[0] == "i"}
     bound = learner.use_bound_at(stage)
-    slots = [(pos, j) for pos in range(bound) for j in range(informant.size)
+    slots = [(pos, j) for pos in range(bound) for j in range(len(ws))
              if (j, pos) not in queried][:free_bits]
     # each word's variants once; a completion picks one variant per word
     variants = []
-    for j, w in enumerate(informant.explicit_words()):
+    for j, w in enumerate(ws):
         free = [pos for pos, k in slots if k == j]
         variants.append([with_bits(w, dict(zip(free, bits)))
                          for bits in itertools.product((0, 1), repeat=len(free))])

@@ -162,7 +162,7 @@ def _build_crit3():
         informant = Informant.explicit(list(all_words))
         classes = class_index_sets(rel, all_words)
         true_class = next(j for j, w in enumerate(all_words) if rel.decide(target, w))
-        block = sorted(classes.e(true_class))
+        block = sorted(classes.blocks[true_class])
         assert len(block) >= 2
         converted = BcToExLearner(CyclingLearner(classes, true_class), classes)
         trace = run_session(converted, target, informant, 12)

@@ -228,6 +228,8 @@ def test_wrong_code_disagrees_with_exit_4(capsys, workdir):
 def test_config_errors_exit_2(capsys, workdir, tmp_path):
     deep = workdir / "deep.s2f"
     deep.write_text("(ef " + "(not " * 1000 + "(bit x (ix 1 0 0))" + ")" * 1001 + "\n")
+    wide = workdir / "wide.tree"
+    wide.write_text("gen 100000000 : 1\n")
     cases = [
         ("crosscheck", "--relation", "sim0", "--samples", "5"),           # no code
         ("crosscheck", "--relation", "oscillation", "--samples", "5",
@@ -245,6 +247,9 @@ def test_config_errors_exit_2(capsys, workdir, tmp_path):
         ("adversary", "--relation", "e0", "--learner", "constant:0"),     # wrong relation
         ("falsify", "--relation", "e0", "--code", str(deep),
          "--max-size", "1"),                                              # nested too deep
+        ("simulate", "--relation", "e0", "--target", "|0", "--informant", "|0",
+         "--learner", "transport:identity:" * 2000 + "constant:0"),      # wrapped too deep
+        ("falsify", "--relation", f"tree:{wide}", "--max-size", "1"),     # branch too long
         ("falsify", "--relation", "e0", "--code", "e0.s2f",
          "--config", str(workdir / "run.cfg"), "--max-size", "0"),        # no word pair
         ("crosscheck", "--relation", "e0", "--samples", "0"),             # no sample

@@ -45,7 +45,7 @@ from limitlearn.learners import (
 )
 from limitlearn.relations import e0_code, id_code, make_relation
 from limitlearn.simulation import run_session
-from limitlearn.words import Word
+from limitlearn.words import Word, finite_support_word
 from limitlearn.words import parse_word as W
 from test_formulas import code_preds, pred_trees, small_terms
 
@@ -107,7 +107,7 @@ def test_informant_explicit():
 
 
 def test_informant_generators():
-    inf = Informant.finite_support()
+    inf = Informant.from_function(finite_support_word)
     assert not inf.is_explicit and inf.size is None
     assert inf.word(0) == W("|0")
     assert inf.word(1) == W("1|0")
@@ -284,8 +284,6 @@ def test_countable_truncates_rows_and_entries():
 def test_class_index_sets_values():
     classes = class_index_sets(make_relation("e0"), [W("|1"), W("|0"), W("1|0")])
     assert classes.blocks == (frozenset({0}), frozenset({1, 2}), frozenset({1, 2}))
-    assert classes.count == 3
-    assert classes.e(2) == frozenset({1, 2})
 
 
 def test_class_index_sets_validation():
@@ -395,7 +393,7 @@ def test_transport_rejects_informant_indices_out_of_range():
 
 
 TRANSPORT_BASES = [
-    SynthLearner(e0_code(), Informant.finite_support()),
+    SynthLearner(e0_code(), Informant.from_function(finite_support_word)),
     RecentOnesLearner(2),
     ConstantLearner(1),
     CountableClassLearner([[W("1|0"), W("|01")], [W("01|1")]]),
@@ -437,7 +435,7 @@ def test_learner_from_string(spec_dir):
     assert isinstance(l, SynthLearner) and l.code == e0_code()
 
     l = learner_from_string("separators:seps.s2f", base_dir=spec_dir)
-    assert isinstance(l, SeparatorLearner) and len(l.codes) == 2
+    assert isinstance(l, SeparatorLearner) and len(l.lowered) == 2
 
     l = learner_from_string("countable:rows.txt", base_dir=spec_dir)
     assert isinstance(l, CountableClassLearner)
@@ -465,7 +463,7 @@ def test_learner_from_string_errors(tmp_path):
         dict(spec="synth:absent.s2f", informant=inf),
         dict(spec="cycling:0"),  # no relation
         dict(spec="cycling:zero", relation=e0, informant=inf),
-        dict(spec="cycling:0", relation=e0, informant=Informant.finite_support()),
+        dict(spec="cycling:0", relation=e0, informant=Informant.from_function(finite_support_word)),
         dict(spec="bc2ex:", relation=e0, informant=inf),
         dict(spec="transport:warp:constant:0"),
         dict(spec="transport:embed:constant:0"),
@@ -477,6 +475,22 @@ def test_learner_from_string_errors(tmp_path):
     for case in cases:
         with pytest.raises(ConfigError):
             learner_from_string(case.pop("spec"), base_dir=str(tmp_path), **case)
+
+
+def test_learner_strings_wrap_at_most_64_layers():
+    """64 bc2ex: and transport:RED: layers build and run as a shallow equivalent;
+    a 65th is rejected before any layer is built (2,000 exhaust the stack)."""
+    inf = Informant.explicit([W("|0"), W("1|0")])
+    e0 = make_relation("e0")
+    for layers, base, alike in (("transport:identity:" * 64, "recent-ones:2", "recent-ones:2"),
+                                ("bc2ex:" * 64, "cycling:0", "bc2ex:cycling:0"),
+                                ("bc2ex:transport:identity:" * 32, "cycling:0", "bc2ex:cycling:0")):
+        deep = learner_from_string(layers + base, e0, inf)
+        assert (run_session(deep, W("1|0"), inf, 12).hypotheses
+                == run_session(learner_from_string(alike, e0, inf), W("1|0"), inf, 12).hypotheses)
+        for extra in ("bc2ex:", "transport:prefix0:"):
+            with pytest.raises(ConfigError, match="more than 64"):
+                learner_from_string(extra + layers + base, e0, inf)
 
 
 # every learner kind and every reduction (identity, prefix0, prefix1);

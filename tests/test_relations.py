@@ -22,7 +22,6 @@ from limitlearn.relations import (
     make_relation,
     oscillation_display_holds,
     parse_tree_file,
-    tree_is_wellfounded,
 )
 from limitlearn.words import Word, interleave, parse_word as W
 
@@ -156,9 +155,59 @@ def test_tree_spec_validation():
         TreeSpec(frozenset({(0, 3, 4)}), frozenset({((0,), (2,))}))
 
 
+def _reference_closure_error(nodes, generators):
+    """The prefix-closure check as first written, which rebuilds a branch for
+    every prefix: the message naming the first proper prefix of a node, in the
+    set's order, that is neither a node nor on a generator's branch, else None."""
+    def labels(gen, count):
+        u, v = gen
+        out, cur, t = list(u[:count]), (u[-1] if u else 0), 0
+        while len(out) < count:
+            cur += v[t % len(v)]
+            out.append(cur)
+            t += 1
+        return tuple(out)
+
+    for node in nodes:
+        for i in range(1, len(node)):
+            q = node[:i]
+            if q not in nodes and not any(labels(g, i) == q for g in generators):
+                return f"tree not prefix-closed at {q}"
+    return None
+
+
+small_labels = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+@settings(max_examples=500)
+@given(st.frozensets(st.lists(st.integers(0, 3), max_size=6).map(tuple), max_size=5),
+       st.frozensets(st.tuples(small_labels, small_labels.filter(bool)), max_size=2))
+def test_prefix_closure_matches_the_per_prefix_check(nodes, generators):
+    """Checking only past the labels a node shares with some branch gives the
+    verdict and the named prefix of the per-prefix check."""
+    try:
+        TreeSpec(nodes, generators)
+    except ConfigError as exc:
+        assert str(exc) == _reference_closure_error(nodes, generators)
+    else:
+        assert _reference_closure_error(nodes, generators) is None
+
+
+def test_generator_branch_size_cap():
+    # the branch word has u[-1] + 1 + sum(v) bits, at most 1,000,000
+    for gen in (((999_998,), (1,)), ((), (999_999,)), ((5,), (999_993, 1))):
+        TreeSpec(frozenset(), frozenset({gen}))
+    for gen in (((999_999,), (1,)), ((), (1_000_000,)), ((5,), (999_994, 1))):
+        with pytest.raises(ConfigError, match="more than 1,000,000 bits"):
+            TreeSpec(frozenset(), frozenset({gen}))
+    with pytest.raises(ConfigError):
+        parse_tree_file("gen 100000000 : 1\n")
+
+
 def test_wellfoundedness_is_generator_freeness():
-    assert tree_is_wellfounded(TreeSpec(frozenset({()}), frozenset()))
-    assert not tree_is_wellfounded(TreeSpec(frozenset(), frozenset({((), (1,))})))
+    assert make_relation("tree", TreeSpec(frozenset({()}), frozenset())).learnable == "YES"
+    tree = TreeSpec(frozenset(), frozenset({((), (1,))}))
+    assert make_relation("tree", tree).learnable == "NO"
 
 
 def test_branch_word_values():

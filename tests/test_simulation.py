@@ -236,14 +236,14 @@ def test_reference_certificate():
     learner, target, _ = reference_setup()
     cert = certify_convergence(learner, target)
     assert cert == ConvergenceCertificate(
-        1, (1, 1), ((0, 0, 1), (1, 0, 0), (0, 1, 1), (2, 0, None)), 4
+        1, ((0, 0, 1), (1, 0, 0), (0, 1, 1), (2, 0, None)), 4
     )
 
 
 def test_certificate_trivial_identity():
     learner = SynthLearner(id_code(), Informant.explicit([W("|0")]))
     cert = certify_convergence(learner, W("|0"))
-    assert cert == ConvergenceCertificate(0, (0, 0), (), 0)
+    assert cert == ConvergenceCertificate(0, (), 0)
 
 
 def test_certificate_absent_when_no_word_is_related():
