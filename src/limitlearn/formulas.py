@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, UnsupportedAtomError, natural
@@ -33,19 +33,16 @@ __all__ = [
     "TERM_N",
     "TERM_M",
     "const_term",
-    "eval_pred",
     "Lowered",
     "lower",
     "use_bound",
     "compile_pred",
     "eval_exact_ep",
     "exact_inner_bound",
-    "exact_outer_bound",
     "least_refutation",
     "exists_forall_witness",
     "parse_formula",
     "parse_formulas",
-    "format_formula",
 ]
 
 
@@ -184,39 +181,7 @@ _FORMULA_FORMS = {
 _LEVELS = {"p": (_PRED_FORMS, "predicate"), "f": (_FORMULA_FORMS, "formula")}
 
 
-def _form(node, kind: str):
-    """Head and (field kind, value) pairs of a node of kind p or f."""
-    forms, what = _LEVELS[kind]
-    if type(node) not in forms:
-        raise ConfigError(f"not a {what} node: {node!r}")
-    head, kinds = forms[type(node)]
-    return head, zip(kinds, [getattr(node, f.name) for f in fields(node)])
-
-
 # ---------------------------------------------------------------- predicates
-
-
-def eval_pred(p, x, y, n: int, m: int) -> bool:
-    """Truth of the predicate AST; x and y need only a .bit(i) method."""
-    if isinstance(p, BitOf):
-        w = x if p.side == "x" else y
-        return w.bit(p.term.value(n, m)) == 1
-    if isinstance(p, BitEq):
-        return x.bit(p.term_x.value(n, m)) == y.bit(p.term_y.value(n, m))
-    if isinstance(p, Le):
-        return p.lhs.value(n, m) <= p.rhs.value(n, m)
-    if isinstance(p, CountLe):
-        w = x if p.side == "x" else y
-        lo, hi = p.lo.value(n, m), p.hi.value(n, m)
-        count = sum(w.bit(i) for i in range(lo, hi))
-        return count <= p.bound.value(n, m)
-    if isinstance(p, Not):
-        return not eval_pred(p.inner, x, y, n, m)
-    if isinstance(p, And):
-        return eval_pred(p.left, x, y, n, m) and eval_pred(p.right, x, y, n, m)
-    if isinstance(p, Or):
-        return eval_pred(p.left, x, y, n, m) or eval_pred(p.right, x, y, n, m)
-    raise ConfigError(f"not a predicate node: {p!r}")
 
 
 class Lowered(NamedTuple):
@@ -230,8 +195,8 @@ class Lowered(NamedTuple):
     holds(bit, n, lo, hi) is true iff the predicate holds at (n, m) for every
     m in [lo, hi), over the bit sources bit = (xbit, ybit).  It tests m in
     ascending order and returns at the first false m, and it reads lazily:
-    and, or short-circuit left to right as in eval_pred, so at each m it
-    reads the positions eval_pred reads, in its order.
+    and, or short-circuit left to right, so at each m it reads an atom's
+    positions only when the atoms left of it leave the truth open.
     mask(w, n, full) is the int over the word bit-ints w = (xb, yb) whose
     bit m is the truth at (n, m), for every m below the width of full, given
     that xb and yb hold every position the terms reach there.
@@ -364,8 +329,9 @@ def lower(p) -> Lowered:
                    reads, profile)
 
 
+# The library reads lower(p) directly; bench/spans.py wraps these two by name.
 def use_bound(p, n: int, m: int) -> int:
-    """Positions >= use_bound(n, m) are never read by eval_pred at (n, m)."""
+    """Positions >= use_bound(n, m) are never read to evaluate p at (n, m)."""
     return max((t.value(n, m) + d for _, t, d in lower(p).reads), default=0)
 
 
@@ -432,10 +398,6 @@ def exact_inner_bound(low: Lowered, x, y, n: int) -> int:
         raise ConfigError(f"negative outer value {n}")
     floor, mu, lift, _ = _exact_bounds(low, x, y)
     return max(floor, mu * n + lift)
-
-
-def exact_outer_bound(low: Lowered, x, y) -> int:
-    return _exact_bounds(low, x, y)[3]
 
 
 def _bits(w, length: int) -> int:
@@ -548,16 +510,3 @@ def parse_formula(text: str):
         raise ConfigError(f"expected exactly one formula, found {len(forms)}")
     return forms[0]
 
-
-def _text(node, kind: str) -> str:
-    """Text of a field of the given kind; the inverse of _node_of_sexp."""
-    if kind == "s":
-        return node
-    if kind == "t":
-        return f"(ix {node.coeff_n} {node.coeff_m} {node.constant})"
-    head, parts = _form(node, kind)
-    return "(" + " ".join([head] + [_text(v, k) for k, v in parts]) + ")"
-
-
-def format_formula(f) -> str:
-    return _text(f, "f")

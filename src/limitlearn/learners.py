@@ -20,7 +20,6 @@ from .formulas import ExistsForall, parse_formula, parse_formulas
 from .words import Word
 
 __all__ = [
-    "cantor_pair",
     "cantor_unpair",
     "Informant",
     "Learner",
@@ -36,10 +35,6 @@ __all__ = [
     "RecentOnesLearner",
     "learner_from_string",
 ]
-
-
-def cantor_pair(a: int, b: int) -> int:
-    return (a + b) * (a + b + 1) // 2 + b
 
 
 def cantor_unpair(k: int) -> tuple[int, int]:

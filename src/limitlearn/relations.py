@@ -68,10 +68,10 @@ class TreeSpec:
             _check_nat_tuple(v, "generator cycle")
             if not v:
                 raise ConfigError("generator cycle must be nonempty")
-            # branch_word builds this many bits in linear time: falsify on `gen 4000000 : 1`
-            # takes 2.0 s (1,000,000 bits: 0.6 s) on a 2-core Xeon under Python 3.11.7
-            if (u[-1] if u else 0) + 1 + sum(v) > 1_000_000:
-                raise ConfigError(f"generator {u} : {v} spans more than 1,000,000 bits")
+        # branch_word builds each generator's bits in linear time, about 0.6 s per million
+        # bits on a 2-core Xeon under Python 3.11.7, so the cap is on their sum
+        if sum((u[-1] if u else 0) + 1 + sum(v) for u, v in self.generators) > 1_000_000:
+            raise ConfigError("tree generators span more than 1,000,000 bits in total")
         for node in self.nodes:
             # node[:i] lies on a branch exactly for i <= on_branch; the root is in every tree
             on_branch = max((_shared_labels(node, g) for g in self.generators), default=0)
@@ -244,6 +244,8 @@ def e0_code():
     return ExistsForall(Or(Le(IndexTerm(0, 1, 1), TERM_N), BitEq(TERM_M, TERM_M)))
 
 
+# The labels state the paper's results on all of Cantor space, where oscillation (YES)
+# and sim1 (NO) differ; on eventually periodic words both decide by _decide_sim1.
 _CATALOG = {
     "id": ("YES", "equality of sequences", _decide_id, id_code),
     "e0": ("YES", "eventual equality of tails", _decide_e0, e0_code),

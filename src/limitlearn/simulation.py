@@ -183,8 +183,7 @@ def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificat
         raise ConfigError("certification needs a synthesized learner")
     ws = learner.informant.explicit_words()
 
-    truths = [eval_exact_ep(learner.code, target, w) for w in ws]
-    if not any(truths):
+    if not any(eval_exact_ep(learner.code, target, w) for w in ws):
         return None
 
     refutations = []

@@ -19,7 +19,6 @@ __all__ = [
     "from_bits",
     "with_bits",
     "split_even_odd",
-    "interleave",
     "finite_support_word",
     "drop_first",
 ]
@@ -130,14 +129,6 @@ def split_even_odd(w: Word) -> tuple[Word, Word]:
     even = from_bits(lambda n: w.bit(2 * n), (lp + 1) // 2, q)
     odd = from_bits(lambda n: w.bit(2 * n + 1), lp // 2, q)
     return even, odd
-
-
-def interleave(a: Word, b: Word) -> Word:
-    pre_len = 2 * max(len(a.pre), len(b.pre))
-    per_len = 2 * math.lcm(len(a.per), len(b.per))
-    return from_bits(
-        lambda i: a.bit(i // 2) if i % 2 == 0 else b.bit(i // 2), pre_len, per_len
-    )
 
 
 def finite_support_word(i: int) -> Word:

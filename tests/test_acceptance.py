@@ -43,7 +43,8 @@ from limitlearn.simulation import (
     summarize,
     use_principle_check,
 )
-from limitlearn.words import Word, interleave, parse_word as W
+from limitlearn.words import Word, parse_word as W
+from test_words import interleave
 
 ACCEPT_SEED = 1729
 

@@ -23,7 +23,8 @@ from limitlearn.relations import (
     oscillation_display_holds,
     parse_tree_file,
 )
-from limitlearn.words import Word, interleave, parse_word as W
+from limitlearn.words import Word, parse_word as W
+from test_words import interleave
 
 
 def rel(name, params=None):
@@ -194,7 +195,7 @@ def test_prefix_closure_matches_the_per_prefix_check(nodes, generators):
 
 
 def test_generator_branch_size_cap():
-    # the branch word has u[-1] + 1 + sum(v) bits, at most 1,000,000
+    # a branch word has u[-1] + 1 + sum(v) bits, at most 1,000,000 over all generators
     for gen in (((999_998,), (1,)), ((), (999_999,)), ((5,), (999_993, 1))):
         TreeSpec(frozenset(), frozenset({gen}))
     for gen in (((999_999,), (1,)), ((), (1_000_000,)), ((5,), (999_994, 1))):
@@ -202,6 +203,9 @@ def test_generator_branch_size_cap():
             TreeSpec(frozenset(), frozenset({gen}))
     with pytest.raises(ConfigError):
         parse_tree_file("gen 100000000 : 1\n")
+    TreeSpec(frozenset(), frozenset({((499_999,), (1,)), ((), (499_998,))}))
+    with pytest.raises(ConfigError, match="more than 1,000,000 bits"):
+        TreeSpec(frozenset(), frozenset({((499_999,), (1,)), ((), (500_000,))}))
 
 
 def test_wellfoundedness_is_generator_freeness():

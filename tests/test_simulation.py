@@ -38,7 +38,7 @@ from limitlearn.simulation import (
 from limitlearn.formulas import ExistsForall, eval_exact_ep
 from limitlearn.words import Word
 from limitlearn.words import parse_word as W
-from test_formulas import code_preds, preds
+from test_formulas import code_preds, eval_pred, preds
 
 E0 = make_relation("e0")
 
@@ -290,8 +290,6 @@ def test_certificates_on_random_codes(code, target, ws):
 def test_certificate_refutations_are_genuine():
     learner, target, informant = reference_setup()
     cert = certify_convergence(learner, target)
-    from limitlearn.formulas import eval_pred
-
     for a, b, m in cert.refutations:
         w = informant.word(a)
         if m is None:

@@ -17,11 +17,20 @@ from limitlearn.words import (
     drop_first,
     finite_support_word,
     from_bits,
-    interleave,
     parse_word,
     split_even_odd,
     with_bits,
 )
+
+
+def interleave(a: Word, b: Word) -> Word:
+    """The word whose even bits spell a and whose odd bits spell b."""
+    pre_len = 2 * max(len(a.pre), len(b.pre))
+    per_len = 2 * math.lcm(len(a.per), len(b.per))
+    return from_bits(
+        lambda i: a.bit(i // 2) if i % 2 == 0 else b.bit(i // 2), pre_len, per_len
+    )
+
 
 bits = st.text(alphabet="01", min_size=0, max_size=8)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
