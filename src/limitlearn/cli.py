@@ -54,8 +54,8 @@ from .words import finite_support_word, parse_word
 # accepted range (None: unbounded) and help; an int default marks a natural
 # number.  maxSize stops at 7: 544,644 pairs, which falsify sweeps in 6.7 s on
 # e0 and 0.8 s on id on a 2-core Xeon host under Python 3.11.7.  horizon stops
-# at 1,000,000, where README's e0 simulate session takes 8 s and peaks at
-# 472 MiB RSS on that host: a session builds its use bounds and bit tables for
+# at 1,000,000, where README's e0 simulate session takes 11 s and peaks at
+# 474 MiB RSS on that host: a session builds its use bounds and bit tables for
 # the whole horizon before stage 0, so 10^9 would need gigabytes first.
 # The budgets stop where a run still ends in seconds on that host: patience at
 # 1,000,000 (adversary against constant:0, 1.0 s; 10^7 takes 6.9 s), rounds at

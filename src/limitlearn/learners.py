@@ -93,9 +93,11 @@ class Learner:
     A state is a value that `step` never mutates: `step` returns the
     successor, so a caller may step from a kept state again.
     `use_bound_at` must be a pure function of the stage, because
-    `run_session` reads the whole schedule before stage 0.  A view answers
-    reads only during the `step` call it is passed to; `run_session` reuses
-    one view object for every stage, so a learner must not keep it.
+    `run_session` reads the whole schedule before stage 0 from
+    `use_bounds`, which must equal `use_bound_at` mapped over 0..horizon.
+    A view answers reads only during the `step` call it is passed to;
+    `run_session` reuses one view object for every stage, so a learner
+    must not keep it.
     """
 
     def fresh_state(self):
@@ -106,6 +108,9 @@ class Learner:
 
     def use_bound_at(self, stage: int) -> int:
         raise NotImplementedError
+
+    def use_bounds(self, horizon: int) -> list:
+        return list(map(self.use_bound_at, range(horizon + 1)))
 
     def pointer_of(self, state):
         return None
@@ -119,12 +124,20 @@ def _stage_use(lowerings) -> tuple:
 
 def _use_at(self, stage: int) -> int:
     """The largest a*stage + b over the pairs of self._use (from _stage_use),
-    or 0: `use_bound_at` of the code learners, one frame per call."""
+    or 0: `use_bound_at` of the code learners."""
     bound = 0
     for a, b in self._use:
         if a * stage + b > bound:
             bound = a * stage + b
     return bound
+
+
+def _use_upto(self, horizon: int) -> list:
+    """`use_bounds` of the code learners: the stagewise largest of one
+    column a*s + b per pair of self._use, or of one column of zeros."""
+    n = horizon + 1
+    cols = [range(b, b + a * n, a) if a else [b] * n for a, b in self._use] or [[0] * n]
+    return list(map(max, *cols)) if len(cols) > 1 else list(cols[0])
 
 
 class SynthLearner(Learner):
@@ -147,17 +160,17 @@ class SynthLearner(Learner):
         self.informant = informant
 
     def fresh_state(self):
-        # (pointer, first m not yet checked against the current pair)
-        return (0, 0)
+        # (pointer k, first m not yet checked against its pair, that pair a, b = cantor_unpair(k))
+        return (0, 0, 0, 0)
 
     use_bound_at = _use_at
+    use_bounds = _use_upto
 
     def pointer_of(self, state):
         return state[0]
 
     def step(self, state, stage: int, view):
-        k, next_m = state
-        a, b = cantor_unpair(k)
+        k, next_m, a, b = state
         if k >= stage:
             return state, a
         size = view.informant_size
@@ -165,12 +178,12 @@ class SynthLearner(Learner):
             # read methods are bound per tested pair: most steps test none
             if (size is None or a < size) and self.lowered.holds(
                     (view.target_bit, functools.partial(view.informant_bit, a)), b, next_m, stage):
-                return (k, stage), a
+                return (k, stage, a, b), a
             k += 1
             next_m = 0
             a, b = (a - 1, b + 1) if a else (b + 1, 0)  # the pair cantor_unpair(k)
             if k == stage:
-                return (k, 0), a
+                return (k, 0, a, b), a
 
 
 class SeparatorLearner(Learner):
@@ -193,6 +206,7 @@ class SeparatorLearner(Learner):
         self._use = _stage_use(self.lowered)
 
     use_bound_at = _use_at
+    use_bounds = _use_upto
 
     def step(self, state, stage: int, view):
         bit = (view.target_bit, view.target_bit)

@@ -120,12 +120,13 @@ def run_session(learner: Learner, target: Word, informant: Informant,
                 horizon: int) -> SessionTrace:
     """Run stages 0..horizon inclusive; deterministic given equal inputs.
 
-    The learner's whole use schedule is read first.  One view, advanced
-    stage by stage, answers from bit tables as long as the largest bound.
+    The learner's whole use schedule is read first, in one
+    `learner.use_bounds(horizon)` call.  One view, advanced stage by stage,
+    answers from bit tables as long as the largest bound.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1, got {horizon}")
-    bounds = list(map(learner.use_bound_at, range(horizon + 1)))
+    bounds = learner.use_bounds(horizon)
     length = max(bounds)
     view = StageView(target.bit_table(length), _InformantRows(informant, length),
                      0, 0, informant.size)

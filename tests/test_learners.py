@@ -144,7 +144,7 @@ def test_synth_rejects_non_ef_codes():
 
 def test_synth_schedule_and_pointer():
     l = SynthLearner(e0_code(), Informant.explicit([W("|1"), W("|0")]))
-    assert l.fresh_state() == (0, 0)
+    assert l.fresh_state() == (0, 0, 0, 0)
     assert l.pointer_of((7, 3)) == 7
     assert l.use_bound_at(5) == use_bound(e0_code().pred, 5, 5) == 6
 
@@ -153,6 +153,7 @@ def test_synth_schedule_and_pointer():
 def test_synth_use_bound_is_the_code_use_bound(p, s):
     l = SynthLearner(ExistsForall(p), Informant.explicit([W("|0")]))
     assert l.use_bound_at(s) == use_bound(p, s, s)
+    assert l.use_bounds(s) == [l.use_bound_at(t) for t in range(s + 1)]
 
 
 def test_synth_hypothesis_stream():
@@ -171,6 +172,7 @@ def test_synth_without_size_never_skips():
     state = l.fresh_state()
     for s in range(8):
         state, h = l.step(state, s, view)
+        assert state[2:] == cantor_unpair(state[0])
     # every pair is refuted by bit 0, so the pointer climbs one pair per stage
     assert l.pointer_of(state) == 7
     assert h == cantor_unpair(7)[0]
@@ -179,6 +181,9 @@ def test_synth_without_size_never_skips():
 class ReferenceSynthLearner(SynthLearner):
     """The pair walk as first written: cantor_unpair for every pair tested and
     once more for the result, and eval_pred at one m at a time."""
+
+    def fresh_state(self):
+        return (0, 0)
 
     def step(self, state, stage, view):
         k, next_m = state
@@ -256,6 +261,7 @@ x_only_preds = pred_trees(st.one_of(
 def test_separator_use_bound_is_the_largest_code_use_bound(ps, s):
     l = SeparatorLearner([ExistsForall(p) for p in ps])
     assert l.use_bound_at(s) == max(use_bound(p, s, s) for p in ps)
+    assert l.use_bounds(s) == [l.use_bound_at(t) for t in range(s + 1)]
 
 
 # ----------------------------------------------------------- countable rows
@@ -506,9 +512,11 @@ CONTRACT_WORDS = [W("|0"), W("1|0"), W("|1"), W("0|01")]
 @given(st.sampled_from(EVERY_KIND), small_words, st.integers(0, 40))
 def test_step_never_mutates_its_state(spec_dir, spec, target, stage):
     """The learner-state contract: from one state and stage, on two views that
-    answer alike, step returns equal results and leaves the state as it was."""
+    answer alike, step returns equal results and leaves the state as it was;
+    the whole use schedule equals the per-stage one."""
     learner = learner_from_string(spec, make_relation("e0"),
                                   Informant.explicit(CONTRACT_WORDS), spec_dir)
+    assert learner.use_bounds(stage) == [learner.use_bound_at(t) for t in range(stage + 1)]
     state = learner.fresh_state()
     for s in range(stage):
         state, _ = learner.step(state, s, FreeView(target, CONTRACT_WORDS))
