@@ -14,7 +14,7 @@ from . import words
 from .errors import ConfigError, ContractViolation
 from .formulas import And, BitOf, ExistsForall, Le, TERM_N, const_term, eval_exact_ep
 from .learners import (
-    ConstantLearner,
+    CyclingLearner,
     Informant,
     Learner,
     RecentOnesLearner,
@@ -181,7 +181,7 @@ def shipped_sim0_candidates():
     informant = inf_family_informant()
     return (
         ("synth-tail-agreement", lambda: SynthLearner(e0_code(), informant)),
-        ("constant-0", lambda: ConstantLearner(0)),
+        ("constant-0", lambda: CyclingLearner((0,))),
         ("recent-ones", lambda: RecentOnesLearner(8)),
     )
 

@@ -160,7 +160,7 @@ def _cmd_simulate(cfg: SimpleNamespace, out) -> int:
                                   str(cfg.base_dir))
     trace = run_session(learner, target, informant, cfg.horizon)
     certificate = None
-    if isinstance(learner, SynthLearner) and informant.is_explicit:
+    if isinstance(learner, SynthLearner) and informant.size is not None:
         certificate = certify_convergence(learner, target)
     for s in range(trace.horizon + 1):
         print(format_stage_record(s, trace.hypotheses[s], trace.pointers[s],

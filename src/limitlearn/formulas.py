@@ -457,8 +457,6 @@ def _tokenize(text: str):
 
 
 def _read_sexp(tokens, pos, depth=0):
-    if pos >= len(tokens):
-        raise ConfigError("unexpected end of formula text")
     tok = tokens[pos]
     if tok == "(":
         if depth == _MAX_NESTING:

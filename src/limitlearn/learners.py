@@ -31,7 +31,6 @@ __all__ = [
     "BcToExLearner",
     "TransportLearner",
     "CyclingLearner",
-    "ConstantLearner",
     "RecentOnesLearner",
     "learner_from_string",
 ]
@@ -65,10 +64,6 @@ class Informant:
     def from_function(fn) -> "Informant":
         return Informant(fn=fn)
 
-    @property
-    def is_explicit(self) -> bool:
-        return self._words is not None
-
     def word(self, j: int) -> Word | None:
         if j < 0:
             return None
@@ -95,6 +90,7 @@ class Learner:
     `use_bound_at` must be a pure function of the stage, because
     `run_session` reads the whole schedule before stage 0 from
     `use_bounds`, which must equal `use_bound_at` mapped over 0..horizon.
+    The default schedule, 0 at every stage, reads nothing.
     A view answers reads only during the `step` call it is passed to;
     `run_session` reuses one view object for every stage, so a learner
     must not keep it.
@@ -107,7 +103,7 @@ class Learner:
         raise NotImplementedError
 
     def use_bound_at(self, stage: int) -> int:
-        raise NotImplementedError
+        return 0
 
     def use_bounds(self, horizon: int) -> list:
         return list(map(self.use_bound_at, range(horizon + 1)))
@@ -341,32 +337,16 @@ class TransportLearner(Learner):
 
 
 class CyclingLearner(Learner):
-    """BC-correct fixture: cycles through one class block, never converging."""
+    """Emits block[stage % len(block)], reading nothing: over one index, the
+    constant learner; over a class block, the BC fixture that never converges."""
 
-    def __init__(self, classes: ClassIndexSets, true_class: int):
-        if not 0 <= true_class < len(classes.blocks):
-            raise ConfigError(f"true class {true_class} out of range")
-        block = sorted(classes.blocks[true_class])
-        if len(block) < 2:
-            raise ConfigError("cycling learner needs a class block with at least 2 elements")
-        self.block = block
-
-    def use_bound_at(self, stage: int) -> int:
-        return 0
+    def __init__(self, block):
+        self.block = tuple(block)
+        if not self.block:
+            raise ConfigError("cycling learner needs a nonempty block")
 
     def step(self, state, stage: int, view):
         return state, self.block[stage % len(self.block)]
-
-
-class ConstantLearner(Learner):
-    def __init__(self, hypothesis: int = 0):
-        self.hypothesis = hypothesis
-
-    def use_bound_at(self, stage: int) -> int:
-        return 0
-
-    def step(self, state, stage: int, view):
-        return state, self.hypothesis
 
 
 class RecentOnesLearner(Learner):
@@ -421,7 +401,7 @@ def learner_from_string(spec: str, relation=None, informant: Informant | None = 
         return natural(rest or default, f"{kind} argument")
 
     def need_classes():
-        if relation is None or informant is None or not informant.is_explicit:
+        if relation is None or informant is None or informant.size is None:
             raise ConfigError(f"{kind} learner needs a relation and an explicit informant")
         return class_index_sets(relation, informant.explicit_words())
 
@@ -445,9 +425,14 @@ def learner_from_string(spec: str, relation=None, informant: Informant | None = 
             raise ConfigError("transport needs an inner learner string")
         return TransportLearner(learner_from_string(inner, relation, informant, base_dir), _REDUCTIONS[red_name])
     if kind == "cycling":
-        return CyclingLearner(need_classes(), number())
+        blocks, true_class = need_classes().blocks, number()
+        if true_class >= len(blocks):
+            raise ConfigError(f"true class {true_class} out of range")
+        if len(blocks[true_class]) < 2:
+            raise ConfigError("cycling learner needs a class block with at least 2 elements")
+        return CyclingLearner(sorted(blocks[true_class]))
     if kind == "constant":
-        return ConstantLearner(number(0))
+        return CyclingLearner((number(0),))
     if kind == "recent-ones":
         return RecentOnesLearner(number(8))
     raise ConfigError(f"unknown learner kind {kind!r}")

@@ -61,12 +61,13 @@ def criterion(n):
     print(f"criterion {n}: PASS")
 
 
-def _cached(key, builder):
-    if key not in _CACHE:
+def _cached(n):
+    """Criterion n's builder value and its build time, built once per session."""
+    if n not in _CACHE:
         t0 = time.perf_counter()
-        value = builder()
-        _CACHE[key] = (value, time.perf_counter() - t0)
-    return _CACHE[key]
+        value = _BUILDERS[n]()
+        _CACHE[n] = (value, time.perf_counter() - t0)
+    return _CACHE[n]
 
 
 # ------------------------------------------------------------- criterion 1
@@ -104,13 +105,9 @@ def _build_crit1():
     return records, cases
 
 
-def _crit1():
-    return _cached("c1", _build_crit1)
-
-
 def test_criterion_1_certificates_for_related_cases():
     with criterion(1):
-        (records, cases), elapsed = _crit1()
+        (records, cases), elapsed = _cached(1)
         assert len(records) == 400 and len(cases) == 400
         assert elapsed < 60.0, f"criterion 1 took {elapsed:.1f}s"
 
@@ -138,13 +135,9 @@ def _build_crit2():
     return records
 
 
-def _crit2():
-    return _cached("c2", _build_crit2)
-
-
 def test_criterion_2_no_false_positives():
     with criterion(2):
-        records, elapsed = _crit2()
+        records, elapsed = _cached(2)
         assert len(records) == 200
         assert elapsed < 60.0, f"criterion 2 took {elapsed:.1f}s"
 
@@ -165,7 +158,7 @@ def _build_crit3():
         true_class = next(j for j, w in enumerate(all_words) if rel.decide(target, w))
         block = sorted(classes.blocks[true_class])
         assert len(block) >= 2
-        converted = BcToExLearner(CyclingLearner(classes, true_class), classes)
+        converted = BcToExLearner(CyclingLearner(block), classes)
         trace = run_session(converted, target, informant, 12)
         low = min(block)
         assert set(trace.hypotheses) == {low}, f"case {i}: {trace.hypotheses}"
@@ -177,13 +170,9 @@ def _build_crit3():
     return records
 
 
-def _crit3():
-    return _cached("c3", _build_crit3)
-
-
 def test_criterion_3_bc_to_ex_conversion():
     with criterion(3):
-        records, _ = _crit3()
+        records, _ = _cached(3)
         assert len(records) == 100
 
 
@@ -213,13 +202,9 @@ def _build_crit4():
     return records
 
 
-def _crit4():
-    return _cached("c4", _build_crit4)
-
-
 def test_criterion_4_oracle_code_agreement():
     with criterion(4):
-        records, elapsed = _crit4()
+        records, elapsed = _cached(4)
         assert len(records) == 502
         assert elapsed < 120.0, f"criterion 4 took {elapsed:.1f}s"
 
@@ -246,13 +231,9 @@ def _build_crit5():
     return records
 
 
-def _crit5():
-    return _cached("c5", _build_crit5)
-
-
 def test_criterion_5_diagonalization_verdicts():
     with criterion(5):
-        records, _ = _crit5()
+        records, _ = _cached(5)
         assert len(records) == 3
 
 
@@ -306,13 +287,9 @@ def _build_crit6():
     return records
 
 
-def _crit6():
-    return _cached("c6", _build_crit6)
-
-
 def test_criterion_6_tree_dichotomy():
     with criterion(6):
-        records, _ = _crit6()
+        records, _ = _cached(6)
         assert len(records) == 5 + 3 * (1 + len(candidate_codes()))
 
 
@@ -321,7 +298,7 @@ def test_criterion_6_tree_dichotomy():
 # all 256 completions of 8 unqueried informant bits.
 
 def _build_crit7():
-    (_, cases), _ = _crit1()
+    (_, cases), _ = _cached(1)
     records = []
     for name, i, learner, target, informant, cert, trace in cases:
         assert use_principle_check(learner, cert, trace, free_bits=8), f"{name} case {i}"
@@ -329,13 +306,9 @@ def _build_crit7():
     return records
 
 
-def _crit7():
-    return _cached("c7", _build_crit7)
-
-
 def test_criterion_7_use_principle():
     with criterion(7):
-        records, _ = _crit7()
+        records, _ = _cached(7)
         assert len(records) == 400
 
 
@@ -363,15 +336,16 @@ def _build_crit8():
     return records
 
 
-def _crit8():
-    return _cached("c8", _build_crit8)
-
-
 def test_criterion_8_membership_procedure():
     with criterion(8):
-        records, elapsed = _crit8()
+        records, elapsed = _cached(8)
         assert len(records) == len(enumerate_words(4))
         assert elapsed < 120.0, f"criterion 8 took {elapsed:.1f}s"
+
+
+# criterion n's builder by n; the CI hash-seed step imports each by name
+_BUILDERS = {1: _build_crit1, 2: _build_crit2, 3: _build_crit3, 4: _build_crit4,
+             5: _build_crit5, 6: _build_crit6, 7: _build_crit7, 8: _build_crit8}
 
 
 # ------------------------------------------------------------- criterion 9
@@ -380,16 +354,9 @@ def test_criterion_8_membership_procedure():
 
 def test_criterion_9_determinism():
     with criterion(9):
-        first = {
-            1: _crit1()[0][0], 2: _crit2()[0], 3: _crit3()[0], 4: _crit4()[0],
-            5: _crit5()[0], 6: _crit6()[0], 7: _crit7()[0], 8: _crit8()[0],
-        }
-        rebuilt = {
-            1: _build_crit1()[0], 2: _build_crit2(), 3: _build_crit3(),
-            4: _build_crit4(), 5: _build_crit5(), 6: _build_crit6(),
-            7: _build_crit7(), 8: _build_crit8(),
-        }
-        for n in sorted(first):
-            a = "\n".join(first[n]).encode()
-            b = "\n".join(rebuilt[n]).encode()
-            assert a == b, f"criterion {n} records drifted on rerun"
+        first = {n: _cached(n)[0] for n in _BUILDERS}
+        rebuilt = {n: build() for n, build in _BUILDERS.items()}
+        for n in _BUILDERS:
+            a, b = (first[n][0], rebuilt[n][0]) if n == 1 else (first[n], rebuilt[n])
+            assert "\n".join(a).encode() == "\n".join(b).encode(), \
+                f"criterion {n} records drifted on rerun"

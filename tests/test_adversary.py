@@ -21,9 +21,9 @@ from limitlearn.adversary import (
     inf_family_informant,
     shipped_sim0_candidates,
 )
-from limitlearn.errors import ConfigError, ContractViolation
+from limitlearn.errors import ConfigError, ContractViolation, UseViolation
 from limitlearn.formulas import eval_exact_ep
-from limitlearn.learners import ConstantLearner, Informant, Learner, SynthLearner
+from limitlearn.learners import CyclingLearner, Informant, Learner, SynthLearner
 from limitlearn.relations import e0_code, make_relation
 from limitlearn.simulation import run_session
 from limitlearn.words import Word, parse_word as W
@@ -49,7 +49,7 @@ def test_inf_family_informant_slots():
 
 def test_diagonalize_rejects_other_relations():
     with pytest.raises(ConfigError):
-        diagonalize_inf(ConstantLearner(0), E0, 8, 2)
+        diagonalize_inf(CyclingLearner((0,)), E0, 8, 2)
 
 
 def test_diagonalize_forces_the_synthesized_learner():
@@ -63,7 +63,7 @@ def test_diagonalize_forces_the_synthesized_learner():
 
 
 def test_diagonalize_detects_a_stuck_learner():
-    run = diagonalize_inf(ConstantLearner(0), SIM1, 16, 2)
+    run = diagonalize_inf(CyclingLearner((0,)), SIM1, 16, 2)
     assert run.verdict == "LEARNER_STUCK" and run.forced_rounds is None
     assert run.witness == W("|0") and run.committed_target == W("|0")
     # the witness refutes the parked claim: finite support, unrelated to 1s
@@ -82,8 +82,8 @@ def test_diagonalize_zero_rounds_is_vacuous():
 def test_diagonalize_rejects_negative_budgets():
     for patience, rounds in ((-5, -3), (8, -1), (-1, 2)):
         with pytest.raises(ConfigError):
-            diagonalize_inf(ConstantLearner(1), SIM0, patience, rounds)
-    assert diagonalize_inf(ConstantLearner(0), SIM1, 0, 1).verdict == "LEARNER_STUCK"
+            diagonalize_inf(CyclingLearner((1,)), SIM0, patience, rounds)
+    assert diagonalize_inf(CyclingLearner((0,)), SIM1, 0, 1).verdict == "LEARNER_STUCK"
 
 
 class OneReadLearner(Learner):
@@ -100,18 +100,24 @@ class OneReadLearner(Learner):
         return state, 1
 
 
-@pytest.mark.parametrize("read", [
-    lambda view: view.target_bit(-1),
-    lambda view: view.informant_bit(-1, 0),
-], ids=["target-position", "informant-index"])
-def test_diagonalize_view_rejects_what_the_stage_view_rejects(read):
-    """Target position -1 and informant index -1 are configuration errors
-    under the diagonalizer's growing target view, as under StageView."""
+@pytest.mark.parametrize("read, error", [
+    (lambda view: view.target_bit(-1), ConfigError),
+    (lambda view: view.informant_bit(-1, 0), ConfigError),
+    (lambda view: view.informant_bit(0, -1), ConfigError),
+    (lambda view: view.informant_bit(0, 1), UseViolation),
+], ids=["target-position", "informant-index", "informant-position", "informant-at-bound"])
+def test_diagonalize_view_rejects_what_the_stage_view_rejects(read, error):
+    """Target position -1, informant index -1 and informant position -1 are
+    configuration errors under the diagonalizer's growing target view, as
+    under StageView; an informant read at the use bound 1 is a use violation
+    at stage 0 under both."""
     learner = OneReadLearner(read)
-    with pytest.raises(ConfigError):
-        run_session(learner, W("|0"), inf_family_informant(), 2)
-    with pytest.raises(ConfigError):
-        diagonalize_inf(learner, SIM0, 4, 2)
+    for run in (lambda: run_session(learner, W("|0"), inf_family_informant(), 2),
+                lambda: diagonalize_inf(learner, SIM0, 4, 2)):
+        with pytest.raises(error) as exc:
+            run()
+        if error is UseViolation:
+            assert (exc.value.stage, exc.value.position, exc.value.bound) == (0, 1, 1)
 
 
 def test_diagonalize_run_survives_replay():

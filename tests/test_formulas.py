@@ -456,6 +456,9 @@ def test_parse_errors():
         "(ef (eq (ix a 1 0) (ix 0 1 0)))",
         "(ef (le (ix 0 1 0) (ix 0 1 0) (ix 0 1 0)))",
         "(ef " + "(not " * 1000 + "(bit x (ix 1 0 0))" + ")" * 1001,
+        "(ef (bit x 3))",               # an index term that is not a list
+        "(ef ())",                      # an empty form
+        "(ef (bit x (iy 1 0 0)))",      # an index term not headed by ix
     ):
         with pytest.raises(ConfigError):
             parse_formula(bad)

@@ -28,7 +28,6 @@ from limitlearn.formulas import (
 from limitlearn.learners import (
     BcToExLearner,
     ClassIndexSets,
-    ConstantLearner,
     CountableClassLearner,
     CyclingLearner,
     Informant,
@@ -95,7 +94,7 @@ def test_cantor_pair_inverts_unpair(a, b):
 
 def test_informant_explicit():
     inf = Informant.explicit([W("|0"), W("1|0")])
-    assert inf.is_explicit and inf.size == 2
+    assert inf.size == 2
     assert inf.word(1) == W("1|0")
     assert inf.word(2) is None
     assert inf.word(-1) is None
@@ -106,7 +105,7 @@ def test_informant_explicit():
 
 def test_informant_generators():
     inf = Informant.from_function(finite_support_word)
-    assert not inf.is_explicit and inf.size is None
+    assert inf.size is None
     assert inf.word(0) == W("|0")
     assert inf.word(1) == W("1|0")
     assert inf.word(2) == W("01|0")
@@ -301,14 +300,14 @@ def test_class_index_sets_validation():
 
 def test_bc_to_ex_rewrites_into_block_minima():
     classes = ClassIndexSets((frozenset({0, 1}), frozenset({0, 1}), frozenset({2})))
-    l = BcToExLearner(CyclingLearner(classes, 1), classes)
+    l = BcToExLearner(CyclingLearner(sorted(classes.blocks[1])), classes)
     hyps, _ = drive(l, W("|0"), [], 5)
     assert hyps == [0, 0, 0, 0, 0]
 
 
 def test_bc_to_ex_rejects_out_of_range_hypotheses():
     classes = ClassIndexSets((frozenset({0}),))
-    l = BcToExLearner(ConstantLearner(5), classes)
+    l = BcToExLearner(CyclingLearner((5,)), classes)
     with pytest.raises(ContractViolation):
         drive(l, W("|0"), [], 1)
 
@@ -316,19 +315,25 @@ def test_bc_to_ex_rejects_out_of_range_hypotheses():
 # ---------------------------------------------------------------- fixtures
 
 def test_cycling_learner():
-    classes = ClassIndexSets((frozenset({0, 1}), frozenset({0, 1})))
-    l = CyclingLearner(classes, 0)
+    l = CyclingLearner((0, 1))
     hyps, _ = drive(l, W("|0"), [], 7)
     assert hyps == [0, 1, 0, 1, 0, 1, 0]
-    assert l.use_bound_at(99) == 0
+    assert l.use_bounds(99) == [0] * 100
     with pytest.raises(ConfigError):
-        CyclingLearner(ClassIndexSets((frozenset({0}),)), 0)
-    with pytest.raises(ConfigError):
-        CyclingLearner(classes, 2)
+        CyclingLearner(())
+    # cycling:N cycles through the sorted class block of informant index N,
+    # which must exist and hold at least 2 indices
+    e0 = make_relation("e0")
+    inf = Informant.explicit([W("1|0"), W("|1"), W("|0")])
+    assert learner_from_string("cycling:2", e0, inf).block == (0, 2)
+    with pytest.raises(ConfigError, match="true class 3 out of range"):
+        learner_from_string("cycling:3", e0, inf)
+    with pytest.raises(ConfigError, match="at least 2 elements"):
+        learner_from_string("cycling:1", e0, inf)
 
 
 def test_constant_learner():
-    hyps, _ = drive(ConstantLearner(3), W("|1"), [], 3)
+    hyps, _ = drive(CyclingLearner((3,)), W("|1"), [], 3)
     assert hyps == [3, 3, 3]
 
 
@@ -377,7 +382,7 @@ def test_transport_agrees_with_base_on_images():
     # the base reads below s + 1; the prefix answers bit 0 of each image
     assert [transported.use_bound_at(s) for s in (0, 1, 5)] == [0, 1, 5]
     assert TransportLearner(base, "").use_bound_at(5) == base.use_bound_at(5) == 6
-    assert TransportLearner(ConstantLearner(0), "0").use_bound_at(5) == 0
+    assert TransportLearner(CyclingLearner((0,)), "0").use_bound_at(5) == 0
     # position -1 is not the prefix's last bit: the session view rejects it
     with pytest.raises(ConfigError):
         run_session(TransportLearner(NegativeReader(), "1"), W("|0"),
@@ -399,7 +404,7 @@ def test_transport_rejects_informant_indices_out_of_range():
 TRANSPORT_BASES = [
     SynthLearner(e0_code(), Informant.from_function(finite_support_word)),
     RecentOnesLearner(2),
-    ConstantLearner(1),
+    CyclingLearner((1,)),
     CountableClassLearner([[W("1|0"), W("|01")], [W("01|1")]]),
 ]
 
@@ -450,10 +455,10 @@ def test_learner_from_string(spec_dir):
 
     l = learner_from_string("transport:prefix1:constant:3", relation=e0, informant=inf)
     assert isinstance(l, TransportLearner) and l.prefix == "1"
-    assert isinstance(l.base, ConstantLearner) and l.base.hypothesis == 3
+    assert isinstance(l.base, CyclingLearner) and l.base.block == (3,)
 
-    assert isinstance(learner_from_string("constant:"), ConstantLearner)
-    assert learner_from_string("constant:7").hypothesis == 7
+    assert learner_from_string("constant:").block == (0,)
+    assert learner_from_string("constant:7").block == (7,)
     assert learner_from_string("recent-ones").window == 8
     assert learner_from_string("recent-ones:3").window == 3
 
@@ -479,6 +484,9 @@ def test_learner_from_string_errors(tmp_path):
     for case in cases:
         with pytest.raises(ConfigError):
             learner_from_string(case.pop("spec"), base_dir=str(tmp_path), **case)
+    (tmp_path / "empty.txt").write_text("# no rows yet\n\n  # nor here\n")
+    with pytest.raises(ConfigError, match="rows file holds no rows"):
+        learner_from_string("countable:empty.txt", base_dir=str(tmp_path))
 
 
 def test_learner_strings_wrap_at_most_64_layers():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from limitlearn.errors import ConfigError, ContractViolation, UseViolation
 from limitlearn.learners import (
     ClassIndexSets,
-    ConstantLearner,
     CyclingLearner,
     Informant,
     Learner,
@@ -79,6 +78,12 @@ def test_stage_view_enforces_the_bound():
         view.target_bit(-1)
     with pytest.raises(ConfigError):
         view.informant_bit(4, 0)
+    with pytest.raises(UseViolation) as exc:
+        view.informant_bit(0, 5)
+    assert (exc.value.stage, exc.value.position, exc.value.bound) == (3, 5, 5)
+    # row[-1] would answer a negative position with the row's last bit
+    with pytest.raises(ConfigError, match="negative position"):
+        view.informant_bit(0, -1)
 
 
 class LazyView:
@@ -170,8 +175,7 @@ def test_run_session_is_deterministic():
 
 def test_run_session_surfaces_use_violations():
     class Greedy(Learner):
-        def use_bound_at(self, stage):
-            return 0
+        """Declares no use schedule, so the default bound 0 allows no read."""
 
         def step(self, state, stage, view):
             return state, view.target_bit(0)
@@ -210,7 +214,7 @@ def test_reference_summary():
 
 def test_out_of_range_hypotheses_read_as_incorrect():
     informant = Informant.explicit([W("|0")])
-    trace = run_session(ConstantLearner(5), W("|0"), informant, 4)
+    trace = run_session(CyclingLearner((5,)), W("|0"), informant, 4)
     report = summarize(trace, E0)
     assert report.mind_changes == 0
     assert report.last_change_stage == 0
@@ -222,7 +226,7 @@ def test_out_of_range_hypotheses_read_as_incorrect():
 def test_bc_without_ex_convergence():
     informant = Informant.explicit([W("|0"), W("1|0")])
     classes = class_index_sets(E0, informant.explicit_words())
-    trace = run_session(CyclingLearner(classes, 0), W("|0"), informant, 5)
+    trace = run_session(CyclingLearner(sorted(classes.blocks[0])), W("|0"), informant, 5)
     report = summarize(trace, E0)
     assert trace.hypotheses == (0, 1, 0, 1, 0, 1)
     assert report.mind_changes == 5
@@ -253,7 +257,7 @@ def test_certificate_absent_when_no_word_is_related():
 
 def test_certificate_requirements():
     with pytest.raises(ConfigError):
-        certify_convergence(ConstantLearner(0), W("|0"))
+        certify_convergence(CyclingLearner((0,)), W("|0"))
     lazy = SynthLearner(e0_code(), Informant.from_function(lambda j: W("|0")))
     with pytest.raises(ConfigError):
         certify_convergence(lazy, W("|0"))
