@@ -100,7 +100,7 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
 
     ones: set[int] = set()
     view = _GrowingTargetView(ones, informant)
-    state = learner.fresh_state()
+    state = learner.start_state
     stage = 0
     hyp = None
     mind_changes = []

@@ -82,31 +82,39 @@ class Informant:
 class Learner:
     """Deterministic stage machine with a declared use schedule.
 
+    A learner declares `use`, its use schedule of (a, b) pairs, and
+    `start_state`, the state stage 0 steps from, and overrides neither
+    schedule method: the bound at stage s is the largest a*s + b over the
+    pairs, or 0, so the empty schedule reads nothing.  Sessions read `use`,
+    so a `use_bound_at` override fails its first session read (UseViolation).
     `step` must be a deterministic function of its state, its stage and the
     answers its view returns: no clock, randomness or other hidden input.
     So two runs whose views answer every read alike are the same run.
     A state is a value that `step` never mutates: `step` returns the
     successor, so a caller may step from a kept state again.
-    `use_bound_at` must be a pure function of the stage, because
-    `run_session` reads the whole schedule before stage 0 from
-    `use_bounds`, which must equal `use_bound_at` mapped over 0..horizon.
-    The default schedule, 0 at every stage, reads nothing.
     A view answers reads only during the `step` call it is passed to;
     `run_session` reuses one view object for every stage, so a learner
     must not keep it.
     """
 
-    def fresh_state(self):
-        return None
+    use = ()
+    start_state = None
 
     def step(self, state, stage: int, view):
         raise NotImplementedError
 
     def use_bound_at(self, stage: int) -> int:
-        return 0
+        bound = 0
+        for a, b in self.use:
+            if a * stage + b > bound:
+                bound = a * stage + b
+        return bound
 
     def use_bounds(self, horizon: int) -> list:
-        return list(map(self.use_bound_at, range(horizon + 1)))
+        """`use_bound_at` over 0..horizon, one column a*s + b per pair."""
+        n = horizon + 1
+        cols = [range(b, b + a * n, a) if a else [b] * n for a, b in self.use] or [[0] * n]
+        return list(map(max, *cols)) if len(cols) > 1 else list(cols[0])
 
     def pointer_of(self, state):
         return None
@@ -116,24 +124,6 @@ def _stage_use(lowerings) -> tuple:
     """(a, b) pairs whose largest a*s + b is the use bound at n = m = s."""
     return tuple({(t.coeff_n + t.coeff_m, t.constant + d)
                   for low in lowerings for _, t, d in low.reads})
-
-
-def _use_at(self, stage: int) -> int:
-    """The largest a*stage + b over the pairs of self._use (from _stage_use),
-    or 0: `use_bound_at` of the code learners."""
-    bound = 0
-    for a, b in self._use:
-        if a * stage + b > bound:
-            bound = a * stage + b
-    return bound
-
-
-def _use_upto(self, horizon: int) -> list:
-    """`use_bounds` of the code learners: the stagewise largest of one
-    column a*s + b per pair of self._use, or of one column of zeros."""
-    n = horizon + 1
-    cols = [range(b, b + a * n, a) if a else [b] * n for a, b in self._use] or [[0] * n]
-    return list(map(max, *cols)) if len(cols) > 1 else list(cols[0])
 
 
 class SynthLearner(Learner):
@@ -152,15 +142,11 @@ class SynthLearner(Learner):
             raise ConfigError("synthesizer needs a single exists-forall atom")
         self.code = code
         self.lowered = code.lowered
-        self._use = _stage_use([self.lowered])
+        self.use = _stage_use([self.lowered])
         self.informant = informant
 
-    def fresh_state(self):
-        # (pointer k, first m not yet checked against its pair, that pair a, b = cantor_unpair(k))
-        return (0, 0, 0, 0)
-
-    use_bound_at = _use_at
-    use_bounds = _use_upto
+    # (pointer k, first m not yet checked against its pair, that pair a, b = cantor_unpair(k))
+    start_state = (0, 0, 0, 0)
 
     def pointer_of(self, state):
         return state[0]
@@ -199,10 +185,7 @@ class SeparatorLearner(Learner):
             if {side for side, _, _ in code.lowered.reads} - {"x"}:
                 raise ConfigError("separator codes must mention only the target side x")
         self.lowered = tuple(c.lowered for c in set_codes)
-        self._use = _stage_use(self.lowered)
-
-    use_bound_at = _use_at
-    use_bounds = _use_upto
+        self.use = _stage_use(self.lowered)
 
     def step(self, state, stage: int, view):
         bit = (view.target_bit, view.target_bit)
@@ -223,8 +206,7 @@ class CountableClassLearner(Learner):
     def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
 
-    def use_bound_at(self, stage: int) -> int:
-        return stage
+    use = ((1, 0),)
 
     def step(self, state, stage: int, view):
         got = "".join(str(view.target_bit(i)) for i in range(stage))
@@ -267,12 +249,7 @@ class BcToExLearner(Learner):
     def __init__(self, inner: Learner, classes: ClassIndexSets):
         self.inner = inner
         self.classes = classes
-
-    def fresh_state(self):
-        return self.inner.fresh_state()
-
-    def use_bound_at(self, stage: int) -> int:
-        return self.inner.use_bound_at(stage)
+        self.use, self.start_state = inner.use, inner.start_state
 
     def pointer_of(self, state):
         return self.inner.pointer_of(state)
@@ -322,12 +299,9 @@ class TransportLearner(Learner):
     def __init__(self, base: Learner, prefix: str):
         self.base = base
         self.prefix = prefix
-
-    def fresh_state(self):
-        return self.base.fresh_state()
-
-    def use_bound_at(self, stage: int) -> int:
-        return max(self.base.use_bound_at(stage) - len(self.prefix), 0)
+        # the prefix answers the base's first reads; (0, 0) keeps bounds >= 0
+        self.use = tuple({(a, b - len(prefix)) for a, b in base.use} | {(0, 0)})
+        self.start_state = base.start_state
 
     def pointer_of(self, state):
         return self.base.pointer_of(state)
@@ -358,8 +332,7 @@ class RecentOnesLearner(Learner):
             raise ConfigError("window must be positive")
         self.window = window
 
-    def use_bound_at(self, stage: int) -> int:
-        return stage
+    use = ((1, 0),)
 
     def step(self, state, stage: int, view):
         recent = range(max(0, stage - self.window), stage)

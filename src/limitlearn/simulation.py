@@ -130,7 +130,7 @@ def run_session(learner: Learner, target: Word, informant: Informant,
     length = max(bounds)
     view = StageView(target.bit_table(length), _InformantRows(informant, length),
                      0, 0, informant.size)
-    state = learner.fresh_state()
+    state = learner.start_state
     step, pointer_of = learner.step, learner.pointer_of
     hyps, pointers, reads = [], [], []
     last_pointer = None

@@ -92,8 +92,7 @@ class OneReadLearner(Learner):
     def __init__(self, read):
         self.read = read
 
-    def use_bound_at(self, stage):
-        return 1
+    use = ((0, 1),)
 
     def step(self, state, stage, view):
         self.read(view)

@@ -292,7 +292,7 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
         assert "unknown key" in err, line
 
 
-def test_contract_violation_exits_3(capsys):
+def test_contract_violation_exits_3(capsys, workdir):
     code, _, err = run_cli(
         capsys, "simulate", "--relation", "e0", "--target", "|0",
         "--informant", "|0", "1|0", "--learner", "bc2ex:constant:5",
@@ -300,6 +300,15 @@ def test_contract_violation_exits_3(capsys):
     )
     assert code == 3
     assert err.startswith("contract violation:")
+    # the synth pointer's capped pair (2, 0) at stage 3 names index 2, past
+    # the two informant words, so bc2ex:synth: fails on this informant
+    code, _, err = run_cli(
+        capsys, "simulate", "--relation", "e0", "--target", "1|0",
+        "--informant", "|1", "|0", "--learner", "bc2ex:synth:e0.s2f",
+        "--horizon", "4", "--config", str(workdir / "run.cfg"),
+    )
+    assert code == 3
+    assert err == "contract violation: hypothesis 2 outside the class structure over 2 indices\n"
 
 
 def test_argparse_rejects_unknown_commands():

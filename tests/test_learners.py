@@ -64,7 +64,7 @@ class FreeView:
 
 def drive(learner, target, informant_words, stages):
     view = FreeView(target, informant_words)
-    state = learner.fresh_state()
+    state = learner.start_state
     hyps, pointers = [], []
     for s in range(stages):
         state, h = learner.step(state, s, view)
@@ -143,8 +143,8 @@ def test_synth_rejects_non_ef_codes():
 
 def test_synth_schedule_and_pointer():
     l = SynthLearner(e0_code(), Informant.explicit([W("|1"), W("|0")]))
-    assert l.fresh_state() == (0, 0, 0, 0)
-    assert l.pointer_of((7, 3)) == 7
+    assert l.start_state == (0, 0, 0, 0)
+    assert l.pointer_of((7, 3, 1, 2)) == 7
     assert l.use_bound_at(5) == use_bound(e0_code().pred, 5, 5) == 6
 
 
@@ -168,7 +168,7 @@ def test_synth_hypothesis_stream():
 def test_synth_without_size_never_skips():
     l = SynthLearner(id_code(), Informant.from_function(lambda j: W("|0")))
     view = FreeView(W("|1"), [W("|0")] * 64, size=None)
-    state = l.fresh_state()
+    state = l.start_state
     for s in range(8):
         state, h = l.step(state, s, view)
         assert state[2:] == cantor_unpair(state[0])
@@ -181,8 +181,7 @@ class ReferenceSynthLearner(SynthLearner):
     """The pair walk as first written: cantor_unpair for every pair tested and
     once more for the result, and eval_pred at one m at a time."""
 
-    def fresh_state(self):
-        return (0, 0)
+    start_state = (0, 0)
 
     def step(self, state, stage, view):
         k, next_m = state
@@ -352,8 +351,7 @@ def image(prefix, w):
 
 
 class NegativeReader(Learner):
-    def use_bound_at(self, stage):
-        return 1
+    use = ((0, 1),)
 
     def step(self, state, stage, view):
         return state, view.target_bit(-1)
@@ -365,8 +363,7 @@ class InformantReader(Learner):
     def __init__(self, j):
         self.j = j
 
-    def use_bound_at(self, stage):
-        return 1
+    use = ((0, 1),)
 
     def step(self, state, stage, view):
         return state, view.informant_bit(self.j, 0)
@@ -525,7 +522,11 @@ def test_step_never_mutates_its_state(spec_dir, spec, target, stage):
     learner = learner_from_string(spec, make_relation("e0"),
                                   Informant.explicit(CONTRACT_WORDS), spec_dir)
     assert learner.use_bounds(stage) == [learner.use_bound_at(t) for t in range(stage + 1)]
-    state = learner.fresh_state()
+    if spec.startswith("transport:"):
+        # the base's bound less the prefix, at least 0: checks the shifted pairs without reading them
+        shifted = [max(learner.base.use_bound_at(t) - len(learner.prefix), 0) for t in range(stage + 1)]
+        assert learner.use_bounds(stage) == shifted
+    state = learner.start_state
     for s in range(stage):
         state, _ = learner.step(state, s, FreeView(target, CONTRACT_WORDS))
     before = copy.deepcopy(state)

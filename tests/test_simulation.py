@@ -118,7 +118,7 @@ class LazyView:
 
 def lazy_session(learner, target, informant, horizon):
     """(hypotheses, pointers, reads) of run_session, one LazyView per stage."""
-    state = learner.fresh_state()
+    state = learner.start_state
     hyps, pointers, reads = [], [], []
     for stage in range(horizon + 1):
         view = LazyView(target, informant, stage, learner.use_bound_at(stage))
@@ -186,11 +186,7 @@ def test_run_session_surfaces_use_violations():
 
 def test_run_session_asserts_pointer_monotonicity():
     class Retreater(Learner):
-        def fresh_state(self):
-            return 0
-
-        def use_bound_at(self, stage):
-            return 0
+        start_state = 0
 
         def pointer_of(self, state):
             return -state

@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Mutation table: each row is a small fault that its tests must catch.
+
+    python tools/mutants.py
+
+For each row, src, tests, README.md and pyproject.toml (the CLI tests read
+both files) are copied to a temporary directory, the row's old snippet,
+which must occur exactly once in its file, is replaced by the new snippet,
+and `python -m pytest -x -q` runs the row's test selection on that copy.
+A row is killed when pytest exits 1.  Exit 0 means the mutant survived;
+any other exit code (2: a collection error, 4: a selected test that does
+not import or exist, 5: no test collected), or an old snippet that does
+not occur exactly once, means the row is broken.  The script exits 1 if
+any row survives or is broken.
+
+A change that moves a snippet re-targets its row.  A row is dropped only
+with a note in CHANGES.md naming the test that still covers its fault.
+Stdlib only; each row takes a few seconds.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "README.md", "pyproject.toml")
+LEARNERS = "src/limitlearn/learners.py"
+SIMULATION = "src/limitlearn/simulation.py"
+
+# (file, old snippet, new snippet, pytest selection, what the mutant breaks)
+ROWS = [
+    (LEARNERS, "        for a, b in self.use:\n", "        for a, b in self.use[:-1]:\n",
+     "tests/test_learners.py::test_synth_use_bound_is_the_code_use_bound",
+     "the per-stage use bound skips the last pair"),
+    (LEARNERS, "return list(map(max, *cols)) if len(cols) > 1 else list(cols[0])",
+     "return list(cols[0])",
+     "tests/test_learners.py::test_synth_use_bound_is_the_code_use_bound",
+     "the bulk schedule keeps only its first column"),
+    (LEARNERS, "        n = horizon + 1\n", "        n = horizon\n",
+     "tests/test_learners.py::test_cycling_learner",
+     "the bulk schedule stops one stage short"),
+    (LEARNERS, "for a, b in base.use} | {(0, 0)})", "for a, b in base.use})",
+     "tests/test_learners.py::test_step_never_mutates_its_state",
+     "the transported schedule goes below 0 where the base reads only the prefix"),
+    (LEARNERS, "(a, b - len(prefix))", "(a, b - len(prefix) - 1)",
+     "tests/test_learners.py::test_step_never_mutates_its_state",
+     "the transported schedule shifts by one position too many"),
+    (LEARNERS, "        self.start_state = base.start_state\n", "",
+     "tests/test_learners.py::test_transport_agrees_with_base_on_images",
+     "a transported learner starts from None, not from its base's start state"),
+    (LEARNERS, "        if 0 <= pos < k:\n            return int(self._prefix[pos])\n",
+     "        if pos < k:\n            return int(self._prefix[pos])\n",
+     "tests/test_learners.py::test_transport_agrees_with_base_on_images",
+     "the prefixed view answers target position -1 with the prefix's last bit"),
+    (LEARNERS, "    use = ()\n", "    use = ((1, 1),)\n",
+     "tests/test_simulation.py::test_run_session_surfaces_use_violations",
+     "a learner that declares no schedule may read"),
+    (LEARNERS, "        if len(blocks[true_class]) < 2:\n", "        if len(blocks[true_class]) < 1:\n",
+     "tests/test_learners.py::test_cycling_learner",
+     "cycling:N accepts a one-index class block"),
+    (SIMULATION, "view._stage, view._bound, view.reads = stage, bound, set()",
+     "view._stage, view._bound = stage, bound",
+     "tests/test_simulation.py::test_reference_session_trace",
+     "one read set is kept for the whole session"),
+    (SIMULATION, "    def informant_bit(self, j: int, pos: int) -> int:\n"
+     "        if not 0 <= pos < self._bound:\n            check_read(self._stage, pos, self._bound)\n",
+     "    def informant_bit(self, j: int, pos: int) -> int:\n",
+     "tests/test_simulation.py::test_stage_view_enforces_the_bound",
+     "the stage view answers informant reads at or past the use bound"),
+    (SIMULATION, "run_session(learner, trace.target, Informant.explicit(completion), horizon)",
+     "run_session(learner, trace.target, trace.informant, horizon)",
+     "tests/test_simulation.py::test_use_principle_replays_reach_the_learner",
+     "use-principle replays run on the original informant"),
+    ("src/limitlearn/adversary.py", "(j < last or j <= i_s)", "(j <= last or j <= i_s)",
+     "tests/test_adversary.py::test_membership_values_match_the_slot_reference",
+     "the membership procedure also pins slot `last` itself"),
+    ("src/limitlearn/formulas.py", "range(outer if mu else min(outer, 1))",
+     "range(outer if mu > 1 else min(outer, 1))",
+     "tests/test_formulas.py::test_exact_least_witness",
+     "the exact search applies the n-free shortcut at mu == 1"),
+    ("src/limitlearn/relations.py", "range(on_branch + 1, len(node))", "range(on_branch, len(node))",
+     "tests/test_relations.py::test_prefix_closure_matches_the_per_prefix_check",
+     "the prefix-closure check starts at the shared length, not one past it"),
+]
+
+
+def run_row(row) -> tuple[str, str]:
+    """The row's verdict (killed, SURVIVED or BROKEN) and pytest's output."""
+    path, old, new, selection, _ = row
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        for name in COPIED:
+            if (ROOT / name).is_dir():
+                shutil.copytree(ROOT / name, Path(tmp) / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy(ROOT / name, Path(tmp) / name)
+        target = Path(tmp) / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return "BROKEN", f"old snippet occurs {text.count(old)} times in {path}"
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(tmp) / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *selection.split()],
+                              cwd=tmp, env=env, capture_output=True, text=True)
+    verdict = {1: "killed", 0: "SURVIVED"}.get(done.returncode, "BROKEN")
+    return verdict, f"pytest exit {done.returncode}\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
+
+
+def main() -> int:
+    failures = 0
+    for number, row in enumerate(ROWS, 1):
+        start = time.perf_counter()
+        verdict, output = run_row(row)
+        print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  row {number:2}: {row[4]}", flush=True)
+        if verdict != "killed":
+            failures += 1
+            print(output, flush=True)
+    print(f"{len(ROWS) - failures} of {len(ROWS)} rows killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
