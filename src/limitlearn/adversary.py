@@ -50,7 +50,7 @@ class AdversaryRun:
 
 def inf_family_informant() -> Informant:
     # slot 0 is the infinite-support representative, then all finite-support words
-    return Informant.from_function(
+    return Informant(
         lambda j: Word("", "1") if j == 0 else words.finite_support_word(j - 1)
     )
 
@@ -231,7 +231,7 @@ def bc_class_membership_procedure(bc: Learner, relation, y: Word, b, z: Word,
     values = []
     for s in range(horizon):
         # fresh each stage: an informant caches the words it returns
-        informant = Informant.from_function(lambda j: z if j == 0 else pins.get(j - 1, y))
+        informant = Informant(lambda j: z if j == 0 else pins.get(j - 1, y))
         i_s = run_session(bc, y, informant, max(s, 1)).hypotheses[s]
         values.append(i_s)
 

@@ -78,7 +78,7 @@ _OPTIONS = (
 _CONFIG_KEYS = {key for _, key, *_ in _OPTIONS}
 
 _GENERATORS = {
-    "finite-support": lambda: Informant.from_function(finite_support_word),
+    "finite-support": lambda: Informant(finite_support_word),
     "inf-family": inf_family_informant,
 }
 

@@ -43,50 +43,40 @@ def cantor_unpair(k: int) -> tuple[int, int]:
 
 
 class Informant:
-    """Sequence of reference words: explicit finite list or named generator."""
+    """Reference words: word j is fn(j), computed once, for j < size, or for
+    every j >= 0 when size is None (a generator); otherwise word(j) is None."""
 
-    def __init__(self, explicit_words=None, fn=None):
-        if (explicit_words is None) == (fn is None):
-            raise ConfigError("informant needs exactly one of a word list or a function")
-        self._words = None if explicit_words is None else tuple(explicit_words)
-        self.size = None if self._words is None else len(self._words)  # None for a generator
-        self._fn = fn
-        self._cache = {}
+    def __init__(self, fn, size=None):
+        self._fn = functools.cache(fn)
+        self.size = size
 
     @staticmethod
     def explicit(ws) -> "Informant":
         ws = tuple(ws)
         if not ws:
             raise ConfigError("explicit informant must be nonempty")
-        return Informant(explicit_words=ws)
-
-    @staticmethod
-    def from_function(fn) -> "Informant":
-        return Informant(fn=fn)
+        return Informant(ws.__getitem__, len(ws))
 
     def word(self, j: int) -> Word | None:
-        if j < 0:
+        if j < 0 or self.size is not None and j >= self.size:
             return None
-        if self._words is not None:
-            return self._words[j] if j < len(self._words) else None
-        if j not in self._cache:
-            self._cache[j] = self._fn(j)
-        return self._cache[j]
+        return self._fn(j)
 
     def explicit_words(self) -> tuple[Word, ...]:
-        if self._words is None:
+        if self.size is None:
             raise ConfigError("operation needs an explicit informant")
-        return self._words
+        return tuple(map(self._fn, range(self.size)))
 
 
 class Learner:
     """Deterministic stage machine with a declared use schedule.
 
-    A learner declares `use`, its use schedule of (a, b) pairs, and
-    `start_state`, the state stage 0 steps from, and overrides neither
-    schedule method: the bound at stage s is the largest a*s + b over the
-    pairs, or 0, so the empty schedule reads nothing.  Sessions read `use`,
-    so a `use_bound_at` override fails its first session read (UseViolation).
+    A learner declares `use`, its use schedule of (a, b) pairs, `start_state`,
+    the state stage 0 steps from, and `pointer_at`, the state field holding
+    its pointer (None: it has none).  It overrides neither schedule method:
+    the bound at stage s is the largest a*s + b over the pairs, never below
+    0, so the empty schedule reads nothing.  Sessions read `use`, so a
+    `use_bound_at` override fails its first session read (UseViolation).
     `step` must be a deterministic function of its state, its stage and the
     answers its view returns: no clock, randomness or other hidden input.
     So two runs whose views answer every read alike are the same run.
@@ -99,6 +89,7 @@ class Learner:
 
     use = ()
     start_state = None
+    pointer_at = None
 
     def step(self, state, stage: int, view):
         raise NotImplementedError
@@ -111,13 +102,13 @@ class Learner:
         return bound
 
     def use_bounds(self, horizon: int) -> list:
-        """`use_bound_at` over 0..horizon, one column a*s + b per pair."""
+        """`use_bound_at` over 0..horizon, one column a*s + b per pair and a
+        column of zeros where some b < 0 (no pair in src/ has a < 0)."""
         n = horizon + 1
-        cols = [range(b, b + a * n, a) if a else [b] * n for a, b in self.use] or [[0] * n]
+        cols = [range(b, b + a * n, a) if a else [b] * n for a, b in self.use]
+        if not cols or any(b < 0 for _, b in self.use):
+            cols.append([0] * n)
         return list(map(max, *cols)) if len(cols) > 1 else list(cols[0])
-
-    def pointer_of(self, state):
-        return None
 
 
 def _stage_use(lowerings) -> tuple:
@@ -147,9 +138,7 @@ class SynthLearner(Learner):
 
     # (pointer k, first m not yet checked against its pair, that pair a, b = cantor_unpair(k))
     start_state = (0, 0, 0, 0)
-
-    def pointer_of(self, state):
-        return state[0]
+    pointer_at = 0
 
     def step(self, state, stage: int, view):
         k, next_m, a, b = state
@@ -249,10 +238,7 @@ class BcToExLearner(Learner):
     def __init__(self, inner: Learner, classes: ClassIndexSets):
         self.inner = inner
         self.classes = classes
-        self.use, self.start_state = inner.use, inner.start_state
-
-    def pointer_of(self, state):
-        return self.inner.pointer_of(state)
+        self.use, self.start_state, self.pointer_at = inner.use, inner.start_state, inner.pointer_at
 
     def step(self, state, stage: int, view):
         state, h = self.inner.step(state, stage, view)
@@ -299,12 +285,9 @@ class TransportLearner(Learner):
     def __init__(self, base: Learner, prefix: str):
         self.base = base
         self.prefix = prefix
-        # the prefix answers the base's first reads; (0, 0) keeps bounds >= 0
-        self.use = tuple({(a, b - len(prefix)) for a, b in base.use} | {(0, 0)})
-        self.start_state = base.start_state
-
-    def pointer_of(self, state):
-        return self.base.pointer_of(state)
+        # the prefix answers the base's first reads
+        self.use = tuple((a, b - len(prefix)) for a, b in base.use)
+        self.start_state, self.pointer_at = base.start_state, base.pointer_at
 
     def step(self, state, stage: int, view):
         return self.base.step(state, stage, _PrefixedView(view, self.prefix))

@@ -131,14 +131,14 @@ def run_session(learner: Learner, target: Word, informant: Informant,
     view = StageView(target.bit_table(length), _InformantRows(informant, length),
                      0, 0, informant.size)
     state = learner.start_state
-    step, pointer_of = learner.step, learner.pointer_of
+    step, at = learner.step, learner.pointer_at
     hyps, pointers, reads = [], [], []
     last_pointer = None
     empty = frozenset()  # frozenset(set()) would build a new object per stage
     for stage, bound in enumerate(bounds):
         view._stage, view._bound, view.reads = stage, bound, set()
         state, hyp = step(state, stage, view)
-        pointer = pointer_of(state)
+        pointer = None if at is None else state[at]
         if pointer is not None and last_pointer is not None and pointer < last_pointer:
             raise ContractViolation(
                 f"stage {stage}: pointer retreated from {last_pointer} to {pointer}")

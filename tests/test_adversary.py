@@ -238,7 +238,7 @@ def slot_membership_reference(bc, y, b, z, horizon):
                 return frozen[j - 1][1]
             return y
 
-        return Informant.from_function(at)
+        return Informant(at)
 
     values = []
     for s in range(horizon):

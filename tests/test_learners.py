@@ -69,7 +69,7 @@ def drive(learner, target, informant_words, stages):
     for s in range(stages):
         state, h = learner.step(state, s, view)
         hyps.append(h)
-        pointers.append(learner.pointer_of(state))
+        pointers.append(None if learner.pointer_at is None else state[learner.pointer_at])
     return hyps, pointers
 
 
@@ -104,7 +104,7 @@ def test_informant_explicit():
 
 
 def test_informant_generators():
-    inf = Informant.from_function(finite_support_word)
+    inf = Informant(finite_support_word)
     assert inf.size is None
     assert inf.word(0) == W("|0")
     assert inf.word(1) == W("1|0")
@@ -120,17 +120,10 @@ def test_informant_caches_its_function():
         calls.append(j)
         return W("|0")
 
-    inf = Informant.from_function(fn)
+    inf = Informant(fn)
     inf.word(3)
     inf.word(3)
     assert calls == [3]
-
-
-def test_informant_constructor_needs_one_source():
-    with pytest.raises(ConfigError):
-        Informant()
-    with pytest.raises(ConfigError):
-        Informant(explicit_words=[W("|0")], fn=lambda j: W("|0"))
 
 
 # -------------------------------------------------------------- synthesized
@@ -144,7 +137,7 @@ def test_synth_rejects_non_ef_codes():
 def test_synth_schedule_and_pointer():
     l = SynthLearner(e0_code(), Informant.explicit([W("|1"), W("|0")]))
     assert l.start_state == (0, 0, 0, 0)
-    assert l.pointer_of((7, 3, 1, 2)) == 7
+    assert l.pointer_at == 0 and (7, 3, 1, 2)[l.pointer_at] == 7
     assert l.use_bound_at(5) == use_bound(e0_code().pred, 5, 5) == 6
 
 
@@ -153,6 +146,20 @@ def test_synth_use_bound_is_the_code_use_bound(p, s):
     l = SynthLearner(ExistsForall(p), Informant.explicit([W("|0")]))
     assert l.use_bound_at(s) == use_bound(p, s, s)
     assert l.use_bounds(s) == [l.use_bound_at(t) for t in range(s + 1)]
+
+
+class DeclaredSchedule(Learner):
+    def __init__(self, use):
+        self.use = use
+
+
+def test_use_bounds_never_go_below_zero():
+    """Both schedule methods floor the bound at 0: a pair whose value is
+    negative and the empty schedule read nothing."""
+    for use, want in ((((1, -1),), [0, 0, 1, 2]), ((), [0, 0, 0, 0])):
+        learner = DeclaredSchedule(use)
+        assert [learner.use_bound_at(s) for s in range(4)] == want
+        assert learner.use_bounds(3) == want
 
 
 def test_synth_hypothesis_stream():
@@ -166,14 +173,14 @@ def test_synth_hypothesis_stream():
 
 
 def test_synth_without_size_never_skips():
-    l = SynthLearner(id_code(), Informant.from_function(lambda j: W("|0")))
+    l = SynthLearner(id_code(), Informant(lambda j: W("|0")))
     view = FreeView(W("|1"), [W("|0")] * 64, size=None)
     state = l.start_state
     for s in range(8):
         state, h = l.step(state, s, view)
         assert state[2:] == cantor_unpair(state[0])
     # every pair is refuted by bit 0, so the pointer climbs one pair per stage
-    assert l.pointer_of(state) == 7
+    assert state[l.pointer_at] == 7
     assert h == cantor_unpair(7)[0]
 
 
@@ -210,7 +217,7 @@ small_words = st.builds(Word, st.text("01", max_size=4), st.text("01", min_size=
 def test_synth_step_matches_the_reference_walk(code, target, ws, generated, horizon):
     """Sessions see the same hypotheses, pointers and per-stage reads, over an
     explicit informant of 1 to 8 words or a generator one of no size."""
-    informant = (Informant.from_function(lambda j: ws[j % len(ws)]) if generated
+    informant = (Informant(lambda j: ws[j % len(ws)]) if generated
                  else Informant.explicit(ws))
     got = run_session(SynthLearner(code, informant), target, informant, horizon)
     want = run_session(ReferenceSynthLearner(code, informant), target, informant, horizon)
@@ -302,6 +309,19 @@ def test_bc_to_ex_rewrites_into_block_minima():
     l = BcToExLearner(CyclingLearner(sorted(classes.blocks[1])), classes)
     hyps, _ = drive(l, W("|0"), [], 5)
     assert hyps == [0, 0, 0, 0, 0]
+
+
+def test_bc_to_ex_keeps_the_inner_pointer():
+    """The converted learner's session reports the inner synth learner's
+    pointer; with every index in a class block of its own, its hypotheses
+    are the inner ones too."""
+    informant = Informant.explicit([W("|1"), W("|0")])
+    synth = SynthLearner(id_code(), informant)
+    bc2ex = BcToExLearner(synth, class_index_sets(make_relation("id"), informant.explicit_words()))
+    want = run_session(synth, W("|0"), informant, 8)
+    got = run_session(bc2ex, W("|0"), informant, 8)
+    assert got.pointers == want.pointers == (0, 1, 1, 1, 1, 1, 1, 1, 1)
+    assert got.hypotheses == want.hypotheses
 
 
 def test_bc_to_ex_rejects_out_of_range_hypotheses():
@@ -399,7 +419,7 @@ def test_transport_rejects_informant_indices_out_of_range():
 
 
 TRANSPORT_BASES = [
-    SynthLearner(e0_code(), Informant.from_function(finite_support_word)),
+    SynthLearner(e0_code(), Informant(finite_support_word)),
     RecentOnesLearner(2),
     CyclingLearner((1,)),
     CountableClassLearner([[W("1|0"), W("|01")], [W("01|1")]]),
@@ -469,7 +489,7 @@ def test_learner_from_string_errors(tmp_path):
         dict(spec="synth:absent.s2f", informant=inf),
         dict(spec="cycling:0"),  # no relation
         dict(spec="cycling:zero", relation=e0, informant=inf),
-        dict(spec="cycling:0", relation=e0, informant=Informant.from_function(finite_support_word)),
+        dict(spec="cycling:0", relation=e0, informant=Informant(finite_support_word)),
         dict(spec="bc2ex:", relation=e0, informant=inf),
         dict(spec="transport:warp:constant:0"),
         dict(spec="transport:embed:constant:0"),

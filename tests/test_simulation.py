@@ -124,7 +124,7 @@ def lazy_session(learner, target, informant, horizon):
         view = LazyView(target, informant, stage, learner.use_bound_at(stage))
         state, hyp = learner.step(state, stage, view)
         hyps.append(hyp)
-        pointers.append(learner.pointer_of(state))
+        pointers.append(None if learner.pointer_at is None else state[learner.pointer_at])
         reads.append(frozenset(view.reads))
     return tuple(hyps), tuple(pointers), tuple(reads)
 
@@ -139,7 +139,7 @@ small_words = st.builds(Word, st.text("01", max_size=4), st.text("01", min_size=
 def test_session_tables_match_the_lazy_reference_view(code, target, ws, generated, horizon):
     """Bit tables give the same hypotheses, pointers and per-stage reads as a
     Word.bit call per read."""
-    informant = (Informant.from_function(lambda j: ws[j % len(ws)]) if generated
+    informant = (Informant(lambda j: ws[j % len(ws)]) if generated
                  else Informant.explicit(ws))
     learner = SynthLearner(code, informant)
     got = run_session(learner, target, informant, horizon)
@@ -186,13 +186,11 @@ def test_run_session_surfaces_use_violations():
 
 def test_run_session_asserts_pointer_monotonicity():
     class Retreater(Learner):
-        start_state = 0
-
-        def pointer_of(self, state):
-            return -state
+        start_state = (0,)
+        pointer_at = 0
 
         def step(self, state, stage, view):
-            return state + 1, 0
+            return (state[0] - 1,), 0
 
     with pytest.raises(ContractViolation):
         run_session(Retreater(), W("|0"), Informant.explicit([W("|0")]), 2)
@@ -254,7 +252,7 @@ def test_certificate_absent_when_no_word_is_related():
 def test_certificate_requirements():
     with pytest.raises(ConfigError):
         certify_convergence(CyclingLearner((0,)), W("|0"))
-    lazy = SynthLearner(e0_code(), Informant.from_function(lambda j: W("|0")))
+    lazy = SynthLearner(e0_code(), Informant(lambda j: W("|0")))
     with pytest.raises(ConfigError):
         certify_convergence(lazy, W("|0"))
 

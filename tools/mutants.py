@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 LEARNERS = "src/limitlearn/learners.py"
 SIMULATION = "src/limitlearn/simulation.py"
+ADVERSARY = "src/limitlearn/adversary.py"
+FORMULAS = "src/limitlearn/formulas.py"
 
 # (file, old snippet, new snippet, pytest selection, what the mutant breaks)
 ROWS = [
@@ -43,15 +45,30 @@ ROWS = [
     (LEARNERS, "        n = horizon + 1\n", "        n = horizon\n",
      "tests/test_learners.py::test_cycling_learner",
      "the bulk schedule stops one stage short"),
-    (LEARNERS, "for a, b in base.use} | {(0, 0)})", "for a, b in base.use})",
-     "tests/test_learners.py::test_step_never_mutates_its_state",
-     "the transported schedule goes below 0 where the base reads only the prefix"),
+    (LEARNERS, "if not cols or any(b < 0 for _, b in self.use):", "if not cols:",
+     "tests/test_learners.py::test_use_bounds_never_go_below_zero",
+     "the bulk schedule goes below 0 where a pair's value is negative"),
     (LEARNERS, "(a, b - len(prefix))", "(a, b - len(prefix) - 1)",
      "tests/test_learners.py::test_step_never_mutates_its_state",
      "the transported schedule shifts by one position too many"),
-    (LEARNERS, "        self.start_state = base.start_state\n", "",
+    (LEARNERS, "        self.start_state, self.pointer_at = base.start_state, base.pointer_at\n",
+     "        self.pointer_at = base.pointer_at\n",
      "tests/test_learners.py::test_transport_agrees_with_base_on_images",
      "a transported learner starts from None, not from its base's start state"),
+    (LEARNERS, "        self.start_state, self.pointer_at = base.start_state, base.pointer_at\n",
+     "        self.start_state = base.start_state\n",
+     "tests/test_learners.py::test_transport_runs_the_base_on_the_images",
+     "a transported learner reports no pointer"),
+    (LEARNERS, "self.use, self.start_state, self.pointer_at = inner.use, inner.start_state, inner.pointer_at",
+     "self.use, self.start_state = inner.use, inner.start_state",
+     "tests/test_learners.py::test_bc_to_ex_keeps_the_inner_pointer",
+     "a bc2ex learner reports no pointer"),
+    (LEARNERS, "    pointer_at = 0\n", "    pointer_at = None\n",
+     "tests/test_simulation.py::test_reference_session_trace",
+     "the synth learner reports no pointer"),
+    (LEARNERS, "if j < 0 or self.size is not None and j >= self.size:", "if j < 0:",
+     "tests/test_learners.py::test_informant_explicit",
+     "an explicit informant answers an index past its last word"),
     (LEARNERS, "        if 0 <= pos < k:\n            return int(self._prefix[pos])\n",
      "        if pos < k:\n            return int(self._prefix[pos])\n",
      "tests/test_learners.py::test_transport_agrees_with_base_on_images",
@@ -62,6 +79,12 @@ ROWS = [
     (LEARNERS, "        if len(blocks[true_class]) < 2:\n", "        if len(blocks[true_class]) < 1:\n",
      "tests/test_learners.py::test_cycling_learner",
      "cycling:N accepts a one-index class block"),
+    (LEARNERS, "        if not self.block:\n            raise ConfigError(\"cycling learner needs a nonempty block\")\n",
+     "", "tests/test_learners.py::test_cycling_learner",
+     "a cycling learner accepts an empty block"),
+    (LEARNERS, "    if not rows:\n        raise ConfigError(\"rows file holds no rows\")\n", "",
+     "tests/test_learners.py::test_learner_from_string_errors",
+     "countable:FILE accepts a file that holds no rows"),
     (SIMULATION, "view._stage, view._bound, view.reads = stage, bound, set()",
      "view._stage, view._bound = stage, bound",
      "tests/test_simulation.py::test_reference_session_trace",
@@ -75,13 +98,26 @@ ROWS = [
      "run_session(learner, trace.target, trace.informant, horizon)",
      "tests/test_simulation.py::test_use_principle_replays_reach_the_learner",
      "use-principle replays run on the original informant"),
-    ("src/limitlearn/adversary.py", "(j < last or j <= i_s)", "(j <= last or j <= i_s)",
+    (ADVERSARY, "(j < last or j <= i_s)", "(j <= last or j <= i_s)",
      "tests/test_adversary.py::test_membership_values_match_the_slot_reference",
      "the membership procedure also pins slot `last` itself"),
-    ("src/limitlearn/formulas.py", "range(outer if mu else min(outer, 1))",
+    (ADVERSARY, "    def informant_bit(self, j, pos):\n"
+     "        if not 0 <= pos < self._bound:\n            check_read(self._stage, pos, self._bound)\n",
+     "    def informant_bit(self, j, pos):\n",
+     "tests/test_adversary.py::test_diagonalize_view_rejects_what_the_stage_view_rejects[informant-at-bound]",
+     "the diagonalizer's view answers informant reads at or past the use bound"),
+    (FORMULAS, "range(outer if mu else min(outer, 1))",
      "range(outer if mu > 1 else min(outer, 1))",
      "tests/test_formulas.py::test_exact_least_witness",
      "the exact search applies the n-free shortcut at mu == 1"),
+    (FORMULAS, "        if not (isinstance(sx, list) and len(sx) == 4 and sx[0] == \"ix\"):\n"
+     "            raise ConfigError(f\"expected (ix cN cM c), got {sx!r}\")\n", "",
+     "tests/test_formulas.py::test_parse_errors",
+     "the parser takes any s-expression for an index term"),
+    (FORMULAS, "    if not isinstance(sx, list) or not sx:\n"
+     "        raise ConfigError(f\"expected a {what} form, got {sx!r}\")\n", "",
+     "tests/test_formulas.py::test_parse_errors",
+     "the parser takes an atom or an empty list for a predicate or formula form"),
     ("src/limitlearn/relations.py", "range(on_branch + 1, len(node))", "range(on_branch, len(node))",
      "tests/test_relations.py::test_prefix_closure_matches_the_per_prefix_check",
      "the prefix-closure check starts at the shared length, not one past it"),
