@@ -143,14 +143,11 @@ def enumerate_words(max_size: int):
     out = []
     for total in range(1, max_size + 1):
         for pre_len in range(total):
-            per_len = total - pre_len
-            for pre_bits in itertools.product("01", repeat=pre_len):
-                pre = "".join(pre_bits)
-                for per_bits in itertools.product("01", repeat=per_len):
-                    per = "".join(per_bits)
-                    w = Word(pre, per)
-                    if (w.pre, w.per) == (pre, per):
-                        out.append(w)
+            # construction only shortens a description, so an unchanged size means canonical
+            for text in itertools.product("01", repeat=total):
+                w = Word("".join(text[:pre_len]), "".join(text[pre_len:]))
+                if w.size == total:
+                    out.append(w)
     return out
 
 

@@ -372,8 +372,8 @@ def compile_pred(p, xbit, ybit):
 # The search takes two shortcuts.  An atom whose profile has mu = 0 is tried
 # at n = 0 alone: no term mentions n, so the mask and the width are the same
 # at every n, and 0 survives iff some n does.  Each word keeps its bit-int
-# between searches, rebuilt only for a longer length: no mask reads a bit at
-# or past the length its search asks for.
+# (Word.bit_int) between searches, rebuilt only for a longer length: no mask
+# reads a bit at or past the length its search asks for.
 
 
 def _exact_bounds(low: Lowered, x, y):
@@ -400,25 +400,12 @@ def exact_inner_bound(low: Lowered, x, y, n: int) -> int:
     return max(floor, mu * n + lift)
 
 
-def _bits(w, length: int) -> int:
-    """An int whose bit i is w.bit(i), for every i < length (length > 0).
-
-    The word's _bitint slot keeps it, rebuilt for at least twice the bits it
-    held whenever a longer length is asked; its top bit marks that count.
-    """
-    value = getattr(w, "_bitint", 1)  # 1: no bits yet, only the marker
-    if value.bit_length() <= length:
-        value = int("1" + w.prefix(max(length, 2 * value.bit_length() - 2))[::-1], 2)
-        object.__setattr__(w, "_bitint", value)
-    return value
-
-
 def least_refutation(low: Lowered, x, y, n: int) -> int | None:
     """Least m at which the lowered predicate fails at outer value n; None if it never does."""
     width = exact_inner_bound(low, x, y, n)
     length = n + width + COEFF_CAP
     full = (1 << width) - 1
-    miss = full ^ low.mask((_bits(x, length), _bits(y, length)), n, full)
+    miss = full ^ low.mask((x.bit_int(length), y.bit_int(length)), n, full)
     return (miss & -miss).bit_length() - 1 if miss else None
 
 
@@ -427,7 +414,7 @@ def exists_forall_witness(low: Lowered, x, y) -> int | None:
     floor, mu, lift, outer = _exact_bounds(low, x, y)
     # positions read at n < outer stay below n + width(n) + kappa
     length = outer + max(floor, mu * outer + lift) + COEFF_CAP
-    return low.search(_bits(x, length), _bits(y, length), floor, mu, lift, outer)
+    return low.search(x.bit_int(length), y.bit_int(length), floor, mu, lift, outer)
 
 
 def eval_exact_ep(f, x, y) -> bool:

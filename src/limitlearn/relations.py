@@ -68,8 +68,9 @@ class TreeSpec:
             _check_nat_tuple(v, "generator cycle")
             if not v:
                 raise ConfigError("generator cycle must be nonempty")
-        # branch_word builds each generator's bits in linear time, about 0.6 s per million
-        # bits on a 2-core Xeon under Python 3.11.7, so the cap is on their sum
+        # branch_word is linear in the bits, so the cap is on their sum: falsify --max-size 1 takes
+        # 0.4-0.7 s on a 999,999-bit generator and 1.0-1.6 s on a 999,993-bit one with a
+        # 499,996-label stem (2-core Xeon, Python 3.11.7)
         if sum((u[-1] if u else 0) + 1 + sum(v) for u, v in self.generators) > 1_000_000:
             raise ConfigError("tree generators span more than 1,000,000 bits in total")
         for node in self.nodes:

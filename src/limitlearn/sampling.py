@@ -30,22 +30,22 @@ _MAX_FLIPS = 3
 _MAX_INFORMANT = 8
 
 
-def _bits(rng, n: int) -> str:
+def _random_bits(rng, n: int) -> str:
     return "".join(rng.choice("01") for _ in range(n))
 
 
 def random_word(rng, max_pre: int = 6, max_per: int = 4) -> Word:
-    pre = _bits(rng, rng.randrange(max_pre + 1))
-    per = _bits(rng, rng.randrange(1, max_per + 1))
+    pre = _random_bits(rng, rng.randrange(max_pre + 1))
+    per = _random_bits(rng, rng.randrange(1, max_per + 1))
     return Word(pre, per)
 
 
 def random_inf_word(rng, max_pre: int = 6, max_per: int = 4) -> Word:
-    per = _bits(rng, rng.randrange(1, max_per + 1))
+    per = _random_bits(rng, rng.randrange(1, max_per + 1))
     if "1" not in per:
         cut = rng.randrange(len(per))
         per = per[:cut] + "1" + per[cut + 1:]
-    return Word(_bits(rng, rng.randrange(max_pre + 1)), per)
+    return Word(_random_bits(rng, rng.randrange(max_pre + 1)), per)
 
 
 def flip_finitely(rng, w: Word) -> Word:
@@ -65,7 +65,7 @@ def random_osc_pair(rng) -> tuple[Word, Word]:
     if mode == 1:
         return (random_inf_word(rng, OSC_MAX_PRE, OSC_MAX_PER),
                 random_inf_word(rng, OSC_MAX_PRE, OSC_MAX_PER))
-    return Word(_bits(rng, rng.randrange(OSC_MAX_PRE + 1)), "0"), one()
+    return Word(_random_bits(rng, rng.randrange(OSC_MAX_PRE + 1)), "0"), one()
 
 
 def _fill(rng, relation, target: Word, count: int, want_related: bool) -> list[Word]:

@@ -28,19 +28,15 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _primitive_root(s: str) -> str:
-    """Shortest u such that s is a power of u."""
-    n = len(s)
-    for d in range(1, n):
-        if n % d == 0 and s[:d] * (n // d) == s:
-            return s[:d]
-    return s
+    """Shortest u with s a power of u: where s first recurs in s + s (Lyndon-Schützenberger 1962)."""
+    return s[:(s + s).find(s, 1)]
 
 
 @dataclass(frozen=True)
 class Word:
     pre: str
     per: str
-    # _bitint is not a field: formulas' exact search keeps the word's bits there
+    # _bitint is not a field: bit_int keeps the word's bits there
     __slots__ = ("pre", "per", "_bitint")
 
     def __post_init__(self):
@@ -48,14 +44,14 @@ class Word:
             raise ConfigError("word period must be nonempty")
         if set(self.pre) - {"0", "1"} or set(self.per) - {"0", "1"}:
             raise ConfigError(f"word bits must be over 0/1: {self.pre!r}|{self.per!r}")
-        pre = self.pre
-        per = _primitive_root(self.per)
-        # absorb the preperiod tail into the period by rotating right
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = per[-1] + per[:-1]
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "per", per)
+        pre, per = self.pre, _primitive_root(self.per)
+        # absorb the k-bit tail of pre that repeats per backwards: cut it off
+        # and rotate per right by k, in one step each
+        p, k = len(per), 0
+        while k < len(pre) and pre[-1 - k] == per[-1 - k % p]:
+            k += 1
+        object.__setattr__(self, "pre", pre[:len(pre) - k])
+        object.__setattr__(self, "per", per[p - k % p:] + per[:p - k % p])
 
     def bit(self, i: int) -> int:
         pre = self.pre
@@ -76,6 +72,18 @@ class Word:
     def bit_table(self, n: int) -> bytes:
         """Bits 0..n-1 as bytes, so that bit_table(n)[i] == bit(i)."""
         return self.prefix(n).encode().translate(_BIT_BYTES)
+
+    def bit_int(self, n: int) -> int:
+        """An int whose bit i is bit(i), for every i < n (n > 0).
+
+        The word keeps it, rebuilt for at least twice the bits it held
+        whenever a longer n is asked; its top bit marks that count.
+        """
+        value = getattr(self, "_bitint", 1)  # 1: no bits yet, only the marker
+        if value.bit_length() <= n:
+            value = int("1" + self.prefix(max(n, 2 * value.bit_length() - 2))[::-1], 2)
+            object.__setattr__(self, "_bitint", value)
+        return value
 
     @property
     def size(self) -> int:
@@ -135,12 +143,7 @@ def finite_support_word(i: int) -> Word:
     """The i-th finite-support word: bit j is bit j of i in LSB-first binary."""
     if i < 0:
         raise ConfigError("finite_support_word index must be a natural")
-    pre = ""
-    k = i
-    while k:
-        pre += str(k & 1)
-        k >>= 1
-    return Word(pre, "0")
+    return Word(f"{i:b}"[::-1], "0")
 
 
 def drop_first(w: Word) -> Word:

@@ -33,7 +33,6 @@ from limitlearn.formulas import (
     Or,
     TERM_M,
     TERM_N,
-    _bits,
     _exact_bounds,
     compile_pred,
     const_term,
@@ -344,7 +343,7 @@ def test_kept_bit_ints_stay_exact(w, lengths):
     falling lengths, it holds w.bit(i) below each; the kept int changes no
     word's value, and a replaced or copied word does not inherit it."""
     def spells(word, length):
-        value = _bits(word, length)
+        value = word.bit_int(length)
         return [value >> i & 1 for i in range(length)] == [word.bit(i) for i in range(length)]
 
     fresh = Word(w.pre, w.per)

@@ -55,6 +55,10 @@ def test_canonical_frozen_examples():
     # period primitivized
     assert Word("", "1010").per == "10"
     assert Word("", "111").per == "1"
+    # long tails absorb in one pass, not one bit per step
+    assert Word("10" * 50_000 + "1", "01") == parse_word("|10")
+    assert Word("0" + "01" * 50_000, "01") == parse_word("0|01")
+    assert Word("1" * 100_000, "1" * 6) == parse_word("|1")
 
 
 def test_bits_frozen():

@@ -32,6 +32,8 @@ LEARNERS = "src/limitlearn/learners.py"
 SIMULATION = "src/limitlearn/simulation.py"
 ADVERSARY = "src/limitlearn/adversary.py"
 FORMULAS = "src/limitlearn/formulas.py"
+RELATIONS = "src/limitlearn/relations.py"
+WORDS = "src/limitlearn/words.py"
 
 # (file, old snippet, new snippet, pytest selection, what the mutant breaks)
 ROWS = [
@@ -118,9 +120,44 @@ ROWS = [
      "        raise ConfigError(f\"expected a {what} form, got {sx!r}\")\n", "",
      "tests/test_formulas.py::test_parse_errors",
      "the parser takes an atom or an empty list for a predicate or formula form"),
-    ("src/limitlearn/relations.py", "range(on_branch + 1, len(node))", "range(on_branch, len(node))",
+    (RELATIONS, "range(on_branch + 1, len(node))", "range(on_branch, len(node))",
      "tests/test_relations.py::test_prefix_closure_matches_the_per_prefix_check",
      "the prefix-closure check starts at the shared length, not one past it"),
+    (RELATIONS, "int(i in ones), (u[-1] if u else 0) + 1, sum(v)",
+     "int(i in ones), (u[-1] + 1 if u else 0), sum(v)",
+     "tests/test_relations.py::test_branch_word_bits_enumerate_the_branch",
+     "a branch word with an empty stem loses its root bit"),
+    (WORDS, "pre[-1 - k] == per[-1 - k % p]", "pre[-1 - k] == per[-1]",
+     "tests/test_words.py::test_canonicalization_preserves_bits",
+     "absorption compares every tail bit with the period's last bit"),
+    (WORDS, "return s[:(s + s).find(s, 1)]", "return s",
+     "tests/test_words.py::test_canonical_form_minimal",
+     "a period is never reduced to its primitive root"),
+    (WORDS, "if value.bit_length() <= n:", "if value.bit_length() < n:",
+     "tests/test_formulas.py::test_kept_bit_ints_stay_exact",
+     "a kept bit-int one bit too short is not rebuilt, so its marker reads as bit n - 1"),
+    (WORDS, "[pos + 1 for pos in bits]", "[pos for pos in bits]",
+     "tests/test_words.py::test_with_bits_sets_exactly_the_given_bits",
+     "a bit patched past the preperiod lands in the period, so it repeats"),
+    (ADVERSARY, "if w.size == total:", "if w.size <= total:",
+     "tests/test_adversary.py::test_enumerate_words_prefix_and_canonicality",
+     "the word enumeration keeps descriptions that canonicalization shortened"),
+    (FORMULAS, 'f"({ha} {op} {hb})"', 'f"({ha} {bitwise} {hb})"',
+     "tests/test_formulas.py::test_compile_reads_what_eval_pred_reads_in_its_order",
+     "a lowered and/or reads both sides instead of short-circuiting"),
+    (FORMULAS, "(1 << {_clamp(dn, dc + 1)})", "(1 << {_clamp(dn, dc)})",
+     "tests/test_formulas.py::test_least_refutation_matches_eval_pred_at_every_m",
+     "the low range of an le atom with negative slope misses its last m"),
+    (FORMULAS, '    FAnd: ("and", "ff"),\n    FOr: ("or", "ff"),\n',
+     '    FAnd: ("or", "ff"),\n    FOr: ("and", "ff"),\n',
+     "tests/test_formulas.py::test_parse_format_round_trip",
+     "the parser reads a formula-level and as or, and or as and"),
+    (LEARNERS, "if a else (b + 1, 0)", "if a else (b, 0)",
+     "tests/test_learners.py::test_synth_step_matches_the_reference_walk",
+     "the synth learner's pair walk never leaves its first diagonal"),
+    (SIMULATION, "[m + 1 for m in witnesses]", "[m for m in witnesses]",
+     "tests/test_simulation.py::test_certificates_on_random_codes",
+     "a certificate's stabilization stage is one short of its last refuting m"),
 ]
 
 
