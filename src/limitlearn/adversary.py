@@ -119,7 +119,7 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
                 break
             fed += 1
             if fed > patience:
-                witness = words.from_bits(lambda i: int(i in ones), max(ones, default=-1) + 1, 1)
+                witness = words.finite_support_word(sum(1 << p for p in ones))
                 if witness.is_inf or relation.decide(witness, one_rep):
                     raise ContractViolation(
                         f"round {r}: stuck witness {witness.literal} does not refute "
@@ -133,7 +133,7 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
                          f"committed 1 at {view.frontier}")
         view.frontier += 1
 
-    committed = words.from_bits(lambda i: int(i in ones), max(ones, default=-1) + 1, 1)
+    committed = words.finite_support_word(sum(1 << p for p in ones))
     return AdversaryRun(committed, tuple(phase_log), tuple(mind_changes),
                         "FORCED", rounds, None)
 

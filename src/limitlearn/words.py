@@ -16,11 +16,9 @@ from .errors import ConfigError
 __all__ = [
     "Word",
     "parse_word",
-    "from_bits",
     "with_bits",
     "split_even_odd",
     "finite_support_word",
-    "drop_first",
 ]
 
 
@@ -115,28 +113,22 @@ def parse_word(text: str) -> Word:
         raise ConfigError(f"bad word literal {text!r}: {exc}") from exc
 
 
-def from_bits(fn, pre_len: int, per_len: int) -> Word:
-    """Word whose bit i is fn(i), assuming periodicity per_len from pre_len on."""
-    pre = "".join(str(int(fn(i))) for i in range(pre_len))
-    per = "".join(str(int(fn(pre_len + i))) for i in range(per_len))
-    return Word(pre, per)
-
-
 def with_bits(w: Word, bits) -> Word:
     """w with bit pos set to bits[pos] for each position in the map `bits`."""
-    if any(pos < 0 for pos in bits):
-        raise ConfigError(f"negative bit position in {sorted(bits)}")
+    if any(pos < 0 for pos in bits) or not set(bits.values()) <= {0, 1}:
+        raise ConfigError(f"bit positions must be naturals and bits 0 or 1: {bits}")
     cut = max([len(w.pre)] + [pos + 1 for pos in bits])
-    table = w.bit_table(cut + len(w.per))
-    return from_bits(lambda i: bits.get(i, table[i]), cut, len(w.per))
+    text = bytearray(w.prefix(cut + len(w.per)), "ascii")
+    for pos, b in bits.items():
+        text[pos] = 49 if b else 48  # "1" or "0"
+    return Word(text[:cut].decode(), text[cut:].decode())
 
 
 def split_even_odd(w: Word) -> tuple[Word, Word]:
-    lp, p = len(w.pre), len(w.per)
-    q = p // math.gcd(2, p)
-    even = from_bits(lambda n: w.bit(2 * n), (lp + 1) // 2, q)
-    odd = from_bits(lambda n: w.bit(2 * n + 1), lp // 2, q)
-    return even, odd
+    h, p = (len(w.pre) + 1) // 2, len(w.per)
+    q = p // math.gcd(2, p)  # both parts repeat with this period from position h on
+    text = w.prefix(2 * (h + q))
+    return Word(text[0:2 * h:2], text[2 * h::2]), Word(text[1:2 * h:2], text[2 * h + 1::2])
 
 
 def finite_support_word(i: int) -> Word:
@@ -144,7 +136,3 @@ def finite_support_word(i: int) -> Word:
     if i < 0:
         raise ConfigError("finite_support_word index must be a natural")
     return Word(f"{i:b}"[::-1], "0")
-
-
-def drop_first(w: Word) -> Word:
-    return from_bits(lambda i: w.bit(i + 1), max(len(w.pre) - 1, 0), len(w.per))

@@ -6,6 +6,8 @@ Equivalence laws are checked per relation over a pool rich in shared tails so
 the transitivity premise actually fires.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,13 @@ from test_words import interleave
 
 def rel(name, params=None):
     return make_relation(name, params)
+
+
+capped_words = st.builds(
+    Word,
+    st.text(alphabet="01", min_size=0, max_size=4),
+    st.text(alphabet="01", min_size=1, max_size=3),
+)
 
 
 # ------------------------------------------------------------------ catalog
@@ -101,6 +110,15 @@ def test_sim3_sim4_sim5_values():
         assert s(W("|01"), W("|01"))
 
 
+@settings(max_examples=300)
+@given(capped_words, capped_words)
+def test_sim3_is_equality_past_bit_0_on_infinite_support(x, y):
+    """Positions 1..L+P cover every preperiod bit past 0 and one whole common period."""
+    horizon = max(len(x.pre), len(y.pre)) + math.lcm(len(x.per), len(y.per))
+    tail_agrees = all(x.bit(i) == y.bit(i) for i in range(1, horizon + 1))
+    assert rel("sim3").decide(x, y) == (x == y or x.is_inf and y.is_inf and tail_agrees)
+
+
 # -------------------------------------------------------------- oscillation
 
 def test_oscillation_decides_inf_agreement():
@@ -119,13 +137,6 @@ def test_oscillation_display_spot_values():
     # although the pair is related
     assert not oscillation_display_holds(W("1" * 17 + "|0"), W("|0"))
     assert OSC_COUNT_BOUND == 16
-
-
-capped_words = st.builds(
-    Word,
-    st.text(alphabet="01", min_size=0, max_size=4),
-    st.text(alphabet="01", min_size=1, max_size=3),
-)
 
 
 @settings(max_examples=150)
@@ -220,6 +231,7 @@ def test_branch_word_values():
     assert branch_word(((0,), (3,))) == W("|100")
     assert branch_word(((), (1,))) == W("0|1")
     assert branch_word(((0, 1), (2,))) == W("1|10")
+    assert branch_word(((999_998,), (1,))) == Word("0" * 999_998, "1")
 
 
 def test_branch_word_rejects_non_principal_generators():

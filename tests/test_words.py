@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from limitlearn.errors import ConfigError
 from limitlearn.words import (
     Word,
-    drop_first,
     finite_support_word,
-    from_bits,
     parse_word,
     split_even_odd,
     with_bits,
@@ -25,11 +23,10 @@ from limitlearn.words import (
 
 def interleave(a: Word, b: Word) -> Word:
     """The word whose even bits spell a and whose odd bits spell b."""
-    pre_len = 2 * max(len(a.pre), len(b.pre))
-    per_len = 2 * math.lcm(len(a.per), len(b.per))
-    return from_bits(
-        lambda i: a.bit(i // 2) if i % 2 == 0 else b.bit(i // 2), pre_len, per_len
-    )
+    pre_len = max(len(a.pre), len(b.pre))
+    n = pre_len + math.lcm(len(a.per), len(b.per))
+    text = "".join(x + y for x, y in zip(a.prefix(n), b.prefix(n)))
+    return Word(text[:2 * pre_len], text[2 * pre_len:])
 
 
 bits = st.text(alphabet="01", min_size=0, max_size=8)
@@ -167,19 +164,6 @@ def test_interleave_inverts_split(p1, q1, p2, q2):
     assert (e, o) == (a, b)
 
 
-@given(bits, periods)
-def test_drop_first_shifts(pre, per):
-    w = Word(pre, per)
-    d = drop_first(w)
-    for i in range(w.size + 4):
-        assert d.bit(i) == w.bit(i + 1)
-
-
-def test_from_bits():
-    w = from_bits(lambda i: 1 if i % 3 == 0 else 0, 0, 3)
-    assert w == Word("", "100")
-
-
 @given(bits, periods, st.dictionaries(st.integers(0, 39), st.integers(0, 1), max_size=6))
 def test_with_bits_sets_exactly_the_given_bits(pre, per, patch):
     w = Word(pre, per)
@@ -191,8 +175,10 @@ def test_with_bits_sets_exactly_the_given_bits(pre, per, patch):
 def test_with_bits_rejects_bad_bits():
     with pytest.raises(ConfigError):
         with_bits(Word("", "0"), {-1: 1})
-    with pytest.raises(ConfigError):
-        with_bits(Word("", "0"), {3: 2})
+    for w, patch in ((Word("", "0"), {3: 2}), (Word("", "01"), {0: -1}), (Word("", "01"), {0: 10}),
+                     (Word("", "0"), {2: 11}), (Word("", "0"), {1: 1000})):
+        with pytest.raises(ConfigError):
+            with_bits(w, patch)
 
 
 # -------------------------------------------------- finite support coding

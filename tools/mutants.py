@@ -123,10 +123,9 @@ ROWS = [
     (RELATIONS, "range(on_branch + 1, len(node))", "range(on_branch, len(node))",
      "tests/test_relations.py::test_prefix_closure_matches_the_per_prefix_check",
      "the prefix-closure check starts at the shared length, not one past it"),
-    (RELATIONS, "int(i in ones), (u[-1] if u else 0) + 1, sum(v)",
-     "int(i in ones), (u[-1] + 1 if u else 0), sum(v)",
+    (RELATIONS, "cut = (u[-1] if u else 0) + 1", "cut = (u[-1] + 1 if u else 0)",
      "tests/test_relations.py::test_branch_word_bits_enumerate_the_branch",
-     "a branch word with an empty stem loses its root bit"),
+     "a branch word with an empty stem is cut one bit short"),
     (WORDS, "pre[-1 - k] == per[-1 - k % p]", "pre[-1 - k] == per[-1]",
      "tests/test_words.py::test_canonicalization_preserves_bits",
      "absorption compares every tail bit with the period's last bit"),
@@ -139,6 +138,20 @@ ROWS = [
     (WORDS, "[pos + 1 for pos in bits]", "[pos for pos in bits]",
      "tests/test_words.py::test_with_bits_sets_exactly_the_given_bits",
      "a bit patched past the preperiod lands in the period, so it repeats"),
+    (WORDS, "or not set(bits.values()) <= {0, 1}", "",
+     "tests/test_words.py::test_with_bits_rejects_bad_bits",
+     "with_bits writes a bit value other than 0 or 1 as a 1"),
+    (WORDS, "text[2 * h + 1::2]", "text[2 * h::2]",
+     "tests/test_words.py::test_split_parts_sample_the_right_positions",
+     "the odd part's period samples the even positions"),
+    (RELATIONS, "with_bits(x, {0: 0}) == with_bits(y, {0: 0})",
+     "with_bits(x, {1: 0}) == with_bits(y, {1: 0})",
+     "tests/test_relations.py::test_sim3_sim4_sim5_values",
+     "sim3 ignores bit 1 instead of bit 0"),
+    (ADVERSARY, "committed = words.finite_support_word(sum(1 << p for p in ones))",
+     "committed = words.finite_support_word(sum(1 << p + 1 for p in ones))",
+     "tests/test_adversary.py::test_diagonalize_forces_the_synthesized_learner",
+     "the committed target puts each one a position past where it was committed"),
     (ADVERSARY, "if w.size == total:", "if w.size <= total:",
      "tests/test_adversary.py::test_enumerate_words_prefix_and_canonicality",
      "the word enumeration keeps descriptions that canonicalization shortened"),
