@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, UnsupportedAtomError, natural
@@ -192,11 +193,12 @@ class Lowered(NamedTuple):
     code (Jones, Gomard and Sestoft, 1993).  Only validated IndexTerm ints
     and fixed names enter the source, never text from the caller.
 
-    holds(bit, n, lo, hi) is true iff the predicate holds at (n, m) for every
-    m in [lo, hi), over the bit sources bit = (xbit, ybit).  It tests m in
-    ascending order and returns at the first false m, and it reads lazily:
-    and, or short-circuit left to right, so at each m it reads an atom's
-    positions only when the atoms left of it leave the truth open.
+    holds(view, j, n, lo, hi) is true iff the predicate holds at (n, m) for
+    every m in [lo, hi), reading side x as view.target_bit(pos) and side y
+    as view.informant_bit(j, pos).  It tests m in ascending order and
+    returns at the first false m, and it reads lazily: and, or short-circuit
+    left to right, so at each m it reads an atom's positions only when the
+    atoms left of it leave the truth open.
     mask(w, n, full) is the int over the word bit-ints w = (xb, yb) whose
     bit m is the truth at (n, m), for every m below the width of full, given
     that xb and yb hold every position the terms reach there.
@@ -246,11 +248,14 @@ def _bit_mask(s: str, t: IndexTerm) -> str:
     return f"({shifted} & full)" if t.coeff_m else f"(full if {shifted} & 1 else 0)"
 
 
+# holds source of the read of each side's bit at a position, through the view
+_READ = {"x": "view.target_bit({})", "y": "view.informant_bit(j, {})"}
+
+
 def _lower(p):
     """(holds, mask, reads, profile) of p, holds and mask as source; see Lowered.
 
-    x and y name the bit sources in holds and the bit-ints in mask; mask is
-    None under a CountLe atom.
+    x and y name the bit-ints in mask; mask is None under a CountLe atom.
     """
     if isinstance(p, Not):
         h, k, reads, profile = _lower(p.inner)
@@ -262,10 +267,10 @@ def _lower(p):
         return f"({ha} {op} {hb})", ka and kb and f"({ka} {bitwise} {kb})", ra + rb, profile
     if isinstance(p, BitOf):
         s, t = "xy"["xy".index(p.side)], p.term
-        return f"({s}({_at(t)}) == 1)", _bit_mask(s, t), ((p.side, t, 1),), _profile(t)
+        return f"({_READ[s].format(_at(t))} == 1)", _bit_mask(s, t), ((p.side, t, 1),), _profile(t)
     if isinstance(p, BitEq):
         tx, ty = p.term_x, p.term_y
-        return (f"(x({_at(tx)}) == y({_at(ty)}))",
+        return (f"({_READ['x'].format(_at(tx))} == {_READ['y'].format(_at(ty))})",
                 f"(full ^ {_bit_mask('x', tx)} ^ {_bit_mask('y', ty)})",
                 (("x", tx, 1), ("y", ty, 1)), _profile(tx, ty))
     if isinstance(p, Le):
@@ -281,16 +286,15 @@ def _lower(p):
             mask = f"(full & -(1 << {_clamp(-dn, -dc)}))"
         return f"({_at(l)} <= {_at(r)})", mask, (), _profile(l, r)
     if isinstance(p, CountLe):
-        s, lo, hi, bd = "xy"["xy".index(p.side)], p.lo, p.hi, p.bound
-        return (f"(sum({s}(i) for i in range({_at(lo)}, {_at(hi)})) <= {_at(bd)})", None,
+        one, lo, hi, bd = _READ[p.side].format("i"), p.lo, p.hi, p.bound
+        return (f"(sum({one} for i in range({_at(lo)}, {_at(hi)})) <= {_at(bd)})", None,
                 ((p.side, hi, 0),), _profile(lo, hi, bd, refusal=(
                     "CountLe atoms have no periodicity threshold; use the relation's oracle")))
     raise ConfigError(f"not a predicate node: {p!r}")
 
 
 _HOLDS_SOURCE = """
-def holds(bit, n, lo, hi):
-    x, y = bit
+def holds(view, j, n, lo, hi):
     for m in range(lo, hi):
         if not {holds}:
             return False
@@ -337,8 +341,9 @@ def use_bound(p, n: int, m: int) -> int:
 
 def compile_pred(p, xbit, ybit):
     """Compile to a closure (n, m) -> bool over the two bit sources."""
-    holds, bit = lower(p).holds, (xbit, ybit)
-    return lambda n, m: holds(bit, n, m, m + 1)
+    holds = lower(p).holds
+    view = SimpleNamespace(target_bit=xbit, informant_bit=lambda j, pos: ybit(pos))
+    return lambda n, m: holds(view, 0, n, m, m + 1)
 
 
 # ------------------------------------------------------------- exact truth

@@ -146,9 +146,7 @@ class SynthLearner(Learner):
             return state, a
         size = view.informant_size
         while True:
-            # read methods are bound per tested pair: most steps test none
-            if (size is None or a < size) and self.lowered.holds(
-                    (view.target_bit, functools.partial(view.informant_bit, a)), b, next_m, stage):
+            if (size is None or a < size) and self.lowered.holds(view, a, b, next_m, stage):
                 return (k, stage, a, b), a
             k += 1
             next_m = 0
@@ -177,10 +175,9 @@ class SeparatorLearner(Learner):
         self.use = _stage_use(self.lowered)
 
     def step(self, state, stage: int, view):
-        bit = (view.target_bit, view.target_bit)
         for idx in range(stage):
             i, n = cantor_unpair(idx)
-            if i < len(self.lowered) and self.lowered[i].holds(bit, n, 0, stage):
+            if i < len(self.lowered) and self.lowered[i].holds(view, 0, n, 0, stage):
                 return state, i
         return state, stage
 

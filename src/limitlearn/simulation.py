@@ -46,6 +46,7 @@ class StageView:
     A view answers reads only during the `step` call it is passed to:
     `run_session` advances one view through the stages, so a view kept past
     its step would read under a later stage's bound and log into that stage.
+    Its `reads` is the session's one read set, emptied after each stage that read.
     """
 
     __slots__ = ("_target", "_rows", "_stage", "_bound", "reads", "informant_size")
@@ -122,7 +123,9 @@ def run_session(learner: Learner, target: Word, informant: Informant,
 
     The learner's whole use schedule is read first, in one
     `learner.use_bounds(horizon)` call.  One view, advanced stage by stage,
-    answers from bit tables as long as the largest bound.
+    answers from bit tables as long as the largest bound.  Its one read set
+    serves the whole session, emptied after each stage that read; the
+    pointer is read only if the learner declares one.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1, got {horizon}")
@@ -132,20 +135,28 @@ def run_session(learner: Learner, target: Word, informant: Informant,
                      0, 0, informant.size)
     state = learner.start_state
     step, at = learner.step, learner.pointer_at
-    hyps, pointers, reads = [], [], []
+    hyps, reads = [], []
+    pointers = [] if at is not None else [None] * len(bounds)
+    hyp_add, read_add, pointer_add = hyps.append, reads.append, pointers.append
     last_pointer = None
+    seen = view.reads
     empty = frozenset()  # frozenset(set()) would build a new object per stage
     for stage, bound in enumerate(bounds):
-        view._stage, view._bound, view.reads = stage, bound, set()
+        view._stage, view._bound = stage, bound
         state, hyp = step(state, stage, view)
-        pointer = None if at is None else state[at]
-        if pointer is not None and last_pointer is not None and pointer < last_pointer:
-            raise ContractViolation(
-                f"stage {stage}: pointer retreated from {last_pointer} to {pointer}")
-        last_pointer = pointer
-        hyps.append(hyp)
-        pointers.append(pointer)
-        reads.append(frozenset(view.reads) if view.reads else empty)
+        if at is not None:
+            pointer = state[at]
+            if pointer is not None and last_pointer is not None and pointer < last_pointer:
+                raise ContractViolation(
+                    f"stage {stage}: pointer retreated from {last_pointer} to {pointer}")
+            last_pointer = pointer
+            pointer_add(pointer)
+        hyp_add(hyp)
+        if seen:
+            read_add(frozenset(seen))
+            seen.clear()
+        else:
+            read_add(empty)
     return SessionTrace(target, informant, tuple(hyps), tuple(pointers), tuple(reads))
 
 

@@ -155,6 +155,51 @@ def test_transport_transcripts(capsys, workdir):
     assert out == "verdict=FORCED(3) stages=1,5,6,9 target=100010001|0\n"
 
 
+# learners that declare no pointer: recent-ones, and separators whose set
+# codes are "finite support" (index 0, word |0) and "has a one" (index 1, |1)
+RECENT_ONES_LINES = [
+    "stage=0 hypothesis=1 pointer=- bitsReadCount=0",
+    "stage=1 hypothesis=1 pointer=- bitsReadCount=1",
+    "stage=2 hypothesis=1 pointer=- bitsReadCount=2",
+    "stage=3 hypothesis=1 pointer=- bitsReadCount=3",
+    "stage=4 hypothesis=0 pointer=- bitsReadCount=3",
+    "stage=5 hypothesis=0 pointer=- bitsReadCount=2",
+    "stage=6 hypothesis=0 pointer=- bitsReadCount=1",
+    "stage=7 hypothesis=2 pointer=- bitsReadCount=7",
+    "stage=8 hypothesis=2 pointer=- bitsReadCount=8",
+    "summary mindChanges=2 lastChangeStage=7 exCorrectAtHorizon=false "
+    "bcCorrectSuffixStart=- certified=-",
+]
+SEPARATORS_LINES = [
+    "stage=0 hypothesis=0 pointer=- bitsReadCount=0",
+    "stage=1 hypothesis=0 pointer=- bitsReadCount=1",
+    "stage=2 hypothesis=2 pointer=- bitsReadCount=2",
+    "stage=3 hypothesis=3 pointer=- bitsReadCount=2",
+    "stage=4 hypothesis=4 pointer=- bitsReadCount=2",
+] + [f"stage={s} hypothesis=1 pointer=- bitsReadCount=2" for s in range(5, 11)] + [
+    "summary mindChanges=4 lastChangeStage=5 exCorrectAtHorizon=true "
+    "bcCorrectSuffixStart=5 certified=-",
+]
+
+
+def test_pointer_free_transcripts(capsys, tmp_path):
+    """A learner that declares no pointer prints pointer=- at every stage."""
+    code, out, _ = run_cli(
+        capsys, "simulate", "--relation", "sim1", "--target", "0001|0",
+        "--informant", "|1", "|0", "--learner", "recent-ones:3", "--horizon", "8",
+    )
+    assert code == 0
+    assert out.splitlines() == RECENT_ONES_LINES
+    seps = tmp_path / "seps.s2f"
+    seps.write_text("(ef (not (bit x (ix 1 1 0))))\n(ef (bit x (ix 1 0 0)))\n")
+    code, out, _ = run_cli(
+        capsys, "simulate", "--relation", "sim1", "--target", "01|1",
+        "--informant", "|0", "|1", "--learner", f"separators:{seps}", "--horizon", "10",
+    )
+    assert code == 0
+    assert out.splitlines() == SEPARATORS_LINES
+
+
 def test_falsify_all_candidates(capsys):
     code, out, _ = run_cli(capsys, "falsify", "--relation", "sim0", "--max-size", "3")
     assert code == 0

@@ -185,6 +185,22 @@ def test_use_bound_covers_reads(p, x, y, n, m):
     assert all(i < bound for _, i in log)
 
 
+class LoggedView:
+    """A view whose target is x and whose informant word j is y: appends
+    ("x", i) to log on a target read and ("y", i) on an informant read."""
+
+    def __init__(self, x, y, log):
+        self.x, self.y, self.log = x, y, log
+
+    def target_bit(self, i):
+        self.log.append(("x", i))
+        return self.x.bit(i)
+
+    def informant_bit(self, j, i):
+        self.log.append(("y", i))
+        return self.y.bit(i)
+
+
 @given(code_preds, words, words, st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 def test_compile_reads_what_eval_pred_reads_in_its_order(p, x, y, n, lo, span):
     """Session read logs and bitsReadCount rest on the lazy range test reading
@@ -192,8 +208,8 @@ def test_compile_reads_what_eval_pred_reads_in_its_order(p, x, y, n, lo, span):
     m = lo, lo+1, ... in turn, and nothing past the first false m."""
     hi = lo + span
     compiled, reference = [], []
-    bit = (LoggedWord(x, "x", compiled).bit, LoggedWord(y, "y", compiled).bit)
-    got = lower(p).holds(bit, n, lo, hi)
+    view = LoggedView(x, y, compiled)
+    got = lower(p).holds(view, 0, n, lo, hi)
     lx, ly = LoggedWord(x, "x", reference), LoggedWord(y, "y", reference)
     first_false = next((m for m in range(lo, hi) if not eval_pred(p, lx, ly, n, m)), None)
     assert got == (first_false is None)

@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 from limitlearn.errors import ConfigError, ContractViolation, UseViolation
 from limitlearn.learners import (
     ClassIndexSets,
+    CountableClassLearner,
     CyclingLearner,
     Informant,
     Learner,
+    RecentOnesLearner,
+    SeparatorLearner,
     SynthLearner,
+    TransportLearner,
     class_index_sets,
 )
 from limitlearn.relations import e0_code, id_code, make_relation
@@ -38,6 +42,7 @@ from limitlearn.formulas import ExistsForall, eval_exact_ep
 from limitlearn.words import Word
 from limitlearn.words import parse_word as W
 from test_formulas import code_preds, eval_pred, preds
+from test_learners import x_only_preds
 
 E0 = make_relation("e0")
 
@@ -142,6 +147,34 @@ def test_session_tables_match_the_lazy_reference_view(code, target, ws, generate
     informant = (Informant(lambda j: ws[j % len(ws)]) if generated
                  else Informant.explicit(ws))
     learner = SynthLearner(code, informant)
+    got = run_session(learner, target, informant, horizon)
+    want = lazy_session(learner, target, informant, horizon)
+    assert (got.hypotheses, got.pointers, got.reads) == want
+
+
+def pointer_free_or_transported(informant):
+    """A learner without a pointer, or a synth learner transported behind the
+    prefix 1, so that its generated reads go through a non-empty prefix."""
+    return st.one_of(
+        st.lists(x_only_preds, min_size=1, max_size=3).map(
+            lambda ps: SeparatorLearner([ExistsForall(p) for p in ps])),
+        st.integers(1, 8).map(RecentOnesLearner),
+        st.lists(st.lists(small_words, min_size=1, max_size=3), min_size=1, max_size=3).map(
+            CountableClassLearner),
+        st.lists(st.integers(0, 5), min_size=1, max_size=3).map(CyclingLearner),
+        st.one_of(st.sampled_from([id_code(), e0_code()]), st.builds(ExistsForall, code_preds)).map(
+            lambda code: TransportLearner(SynthLearner(code, informant), "1")),
+    )
+
+
+@settings(deadline=None)
+@given(st.data(), small_words, st.lists(small_words, min_size=1, max_size=4), st.integers(1, 40))
+def test_pointer_free_sessions_match_the_lazy_reference_view(data, target, ws, horizon):
+    """Every other learner kind gives the lazy reference's hypotheses,
+    pointers (None at each of the horizon + 1 stages where the learner has
+    no pointer) and per-stage reads."""
+    informant = Informant.explicit(ws)
+    learner = data.draw(pointer_free_or_transported(informant))
     got = run_session(learner, target, informant, horizon)
     want = lazy_session(learner, target, informant, horizon)
     assert (got.hypotheses, got.pointers, got.reads) == want

@@ -87,10 +87,18 @@ ROWS = [
     (LEARNERS, "    if not rows:\n        raise ConfigError(\"rows file holds no rows\")\n", "",
      "tests/test_learners.py::test_learner_from_string_errors",
      "countable:FILE accepts a file that holds no rows"),
-    (SIMULATION, "view._stage, view._bound, view.reads = stage, bound, set()",
-     "view._stage, view._bound = stage, bound",
+    (SIMULATION, "            read_add(frozenset(seen))\n            seen.clear()\n",
+     "            read_add(frozenset(seen))\n",
      "tests/test_simulation.py::test_reference_session_trace",
-     "one read set is kept for the whole session"),
+     "the session's read set is never emptied, so each stage's reads hold every earlier stage's"),
+    (SIMULATION, "            if pointer is not None and last_pointer is not None and pointer < last_pointer:\n",
+     "            if False:\n",
+     "tests/test_simulation.py::test_run_session_asserts_pointer_monotonicity",
+     "a pointer that retreats is not refused"),
+    (SIMULATION, "[None] * len(bounds)", "[None] * (len(bounds) - 1)",
+     "tests/test_cli.py::test_pointer_free_transcripts "
+     "tests/test_simulation.py::test_pointer_free_sessions_match_the_lazy_reference_view",
+     "a learner without a pointer gets a pointer column one stage short"),
     (SIMULATION, "    def informant_bit(self, j: int, pos: int) -> int:\n"
      "        if not 0 <= pos < self._bound:\n            check_read(self._stage, pos, self._bound)\n",
      "    def informant_bit(self, j: int, pos: int) -> int:\n",
@@ -158,6 +166,9 @@ ROWS = [
     (FORMULAS, 'f"({ha} {op} {hb})"', 'f"({ha} {bitwise} {hb})"',
      "tests/test_formulas.py::test_compile_reads_what_eval_pred_reads_in_its_order",
      "a lowered and/or reads both sides instead of short-circuiting"),
+    (FORMULAS, '"view.informant_bit(j, {})"', '"view.informant_bit(0, {})"',
+     "tests/test_learners.py::test_synth_step_matches_the_reference_walk",
+     "the range test reads informant word 0 whatever pair it tests"),
     (FORMULAS, "(1 << {_clamp(dn, dc + 1)})", "(1 << {_clamp(dn, dc)})",
      "tests/test_formulas.py::test_least_refutation_matches_eval_pred_at_every_m",
      "the low range of an le atom with negative slope misses its last m"),
