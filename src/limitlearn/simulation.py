@@ -124,8 +124,7 @@ def run_session(learner: Learner, target: Word, informant: Informant,
     The learner's whole use schedule is read first, in one
     `learner.use_bounds(horizon)` call.  One view, advanced stage by stage,
     answers from bit tables as long as the largest bound.  Its one read set
-    serves the whole session, emptied after each stage that read; the
-    pointer is read only if the learner declares one.
+    serves the whole session, emptied after each stage that read.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1, got {horizon}")
@@ -135,28 +134,25 @@ def run_session(learner: Learner, target: Word, informant: Informant,
                      0, 0, informant.size)
     state = learner.start_state
     step, at = learner.step, learner.pointer_at
-    hyps, reads = [], []
-    pointers = [] if at is not None else [None] * len(bounds)
-    hyp_add, read_add, pointer_add = hyps.append, reads.append, pointers.append
+    hyps, pointers, reads = [], [], []
     last_pointer = None
     seen = view.reads
     empty = frozenset()  # frozenset(set()) would build a new object per stage
     for stage, bound in enumerate(bounds):
         view._stage, view._bound = stage, bound
         state, hyp = step(state, stage, view)
-        if at is not None:
-            pointer = state[at]
-            if pointer is not None and last_pointer is not None and pointer < last_pointer:
-                raise ContractViolation(
-                    f"stage {stage}: pointer retreated from {last_pointer} to {pointer}")
-            last_pointer = pointer
-            pointer_add(pointer)
-        hyp_add(hyp)
+        pointer = None if at is None else state[at]
+        if pointer is not None and last_pointer is not None and pointer < last_pointer:
+            raise ContractViolation(
+                f"stage {stage}: pointer retreated from {last_pointer} to {pointer}")
+        last_pointer = pointer
+        hyps.append(hyp)
+        pointers.append(pointer)
         if seen:
-            read_add(frozenset(seen))
+            reads.append(frozenset(seen))
             seen.clear()
         else:
-            read_add(empty)
+            reads.append(empty)
     return SessionTrace(target, informant, tuple(hyps), tuple(pointers), tuple(reads))
 
 

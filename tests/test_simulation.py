@@ -137,44 +137,34 @@ def lazy_session(learner, target, informant, horizon):
 small_words = st.builds(Word, st.text("01", max_size=4), st.text("01", min_size=1, max_size=3))
 
 
-@settings(deadline=None)
-@given(st.one_of(st.sampled_from([id_code(), e0_code()]), st.builds(ExistsForall, code_preds)),
-       small_words, st.lists(small_words, min_size=1, max_size=8), st.booleans(),
-       st.integers(1, 300))
-def test_session_tables_match_the_lazy_reference_view(code, target, ws, generated, horizon):
-    """Bit tables give the same hypotheses, pointers and per-stage reads as a
-    Word.bit call per read."""
-    informant = (Informant(lambda j: ws[j % len(ws)]) if generated
-                 else Informant.explicit(ws))
-    learner = SynthLearner(code, informant)
-    got = run_session(learner, target, informant, horizon)
-    want = lazy_session(learner, target, informant, horizon)
-    assert (got.hypotheses, got.pointers, got.reads) == want
-
-
-def pointer_free_or_transported(informant):
-    """A learner without a pointer, or a synth learner transported behind the
-    prefix 1, so that its generated reads go through a non-empty prefix."""
+def session_learners(informant):
+    """A synth learner, the same transported behind the prefix 1 (its
+    generated reads go through a non-empty prefix), or a learner without a
+    pointer."""
+    codes = st.one_of(st.sampled_from([id_code(), e0_code()]), st.builds(ExistsForall, code_preds))
     return st.one_of(
+        codes.map(lambda code: SynthLearner(code, informant)),
+        codes.map(lambda code: TransportLearner(SynthLearner(code, informant), "1")),
         st.lists(x_only_preds, min_size=1, max_size=3).map(
             lambda ps: SeparatorLearner([ExistsForall(p) for p in ps])),
         st.integers(1, 8).map(RecentOnesLearner),
         st.lists(st.lists(small_words, min_size=1, max_size=3), min_size=1, max_size=3).map(
             CountableClassLearner),
         st.lists(st.integers(0, 5), min_size=1, max_size=3).map(CyclingLearner),
-        st.one_of(st.sampled_from([id_code(), e0_code()]), st.builds(ExistsForall, code_preds)).map(
-            lambda code: TransportLearner(SynthLearner(code, informant), "1")),
     )
 
 
-@settings(deadline=None)
-@given(st.data(), small_words, st.lists(small_words, min_size=1, max_size=4), st.integers(1, 40))
-def test_pointer_free_sessions_match_the_lazy_reference_view(data, target, ws, horizon):
-    """Every other learner kind gives the lazy reference's hypotheses,
-    pointers (None at each of the horizon + 1 stages where the learner has
-    no pointer) and per-stage reads."""
-    informant = Informant.explicit(ws)
-    learner = data.draw(pointer_free_or_transported(informant))
+@settings(max_examples=500, deadline=None)
+@given(st.data(), small_words, st.lists(small_words, min_size=1, max_size=8), st.booleans())
+def test_session_tables_match_the_lazy_reference_view(data, target, ws, generated):
+    """Bit tables give the same hypotheses, pointers (None at every stage of
+    a learner without one) and per-stage reads as a Word.bit call per read."""
+    informant = (Informant(lambda j: ws[j % len(ws)]) if generated
+                 else Informant.explicit(ws))
+    learner = data.draw(session_learners(informant))
+    # a separator learner retests every pair from index 0 at each stage, so
+    # its long sessions are slow
+    horizon = data.draw(st.integers(1, 40 if isinstance(learner, SeparatorLearner) else 300))
     got = run_session(learner, target, informant, horizon)
     want = lazy_session(learner, target, informant, horizon)
     assert (got.hypotheses, got.pointers, got.reads) == want

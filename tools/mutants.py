@@ -87,18 +87,18 @@ ROWS = [
     (LEARNERS, "    if not rows:\n        raise ConfigError(\"rows file holds no rows\")\n", "",
      "tests/test_learners.py::test_learner_from_string_errors",
      "countable:FILE accepts a file that holds no rows"),
-    (SIMULATION, "            read_add(frozenset(seen))\n            seen.clear()\n",
-     "            read_add(frozenset(seen))\n",
+    (SIMULATION, "            reads.append(frozenset(seen))\n            seen.clear()\n",
+     "            reads.append(frozenset(seen))\n",
      "tests/test_simulation.py::test_reference_session_trace",
      "the session's read set is never emptied, so each stage's reads hold every earlier stage's"),
-    (SIMULATION, "            if pointer is not None and last_pointer is not None and pointer < last_pointer:\n",
-     "            if False:\n",
+    (SIMULATION, "        if pointer is not None and last_pointer is not None and pointer < last_pointer:\n",
+     "        if False:\n",
      "tests/test_simulation.py::test_run_session_asserts_pointer_monotonicity",
      "a pointer that retreats is not refused"),
-    (SIMULATION, "[None] * len(bounds)", "[None] * (len(bounds) - 1)",
+    (SIMULATION, "pointer = None if at is None else state[at]", "pointer = 0 if at is None else state[at]",
      "tests/test_cli.py::test_pointer_free_transcripts "
-     "tests/test_simulation.py::test_pointer_free_sessions_match_the_lazy_reference_view",
-     "a learner without a pointer gets a pointer column one stage short"),
+     "tests/test_simulation.py::test_session_tables_match_the_lazy_reference_view",
+     "a learner without a pointer gets pointer 0 at every stage"),
     (SIMULATION, "    def informant_bit(self, j: int, pos: int) -> int:\n"
      "        if not 0 <= pos < self._bound:\n            check_read(self._stage, pos, self._bound)\n",
      "    def informant_bit(self, j: int, pos: int) -> int:\n",
