@@ -7,6 +7,7 @@ slots.  Every verdict ships enough committed data to replay it exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -58,11 +59,12 @@ def inf_family_informant() -> Informant:
 class _GrowingTargetView:
     """Stage view over a target defined by a mutable set of one-positions;
     `frontier` rises to one past each target position read.  The diagonalizer
-    advances one view through the stages, as `run_session` does."""
+    advances one view through the stages, as `run_session` does, and fetches
+    each informant word once."""
 
     def __init__(self, ones, informant):
         self._ones = ones
-        self._informant = informant
+        self._word = functools.cache(informant.word)
         self._stage = self._bound = self.frontier = 0
         self.informant_size = informant.size
 
@@ -76,7 +78,7 @@ class _GrowingTargetView:
     def informant_bit(self, j, pos):
         if not 0 <= pos < self._bound:
             check_read(self._stage, pos, self._bound)
-        w = self._informant.word(j)
+        w = self._word(j)
         if w is None:
             raise ConfigError(f"informant index {j} out of range")
         return w.bit(pos)
@@ -95,11 +97,9 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
         raise ConfigError(f"diagonalization targets sim0 or sim1, not {relation.name}")
     if patience < 0 or rounds < 0:
         raise ConfigError(f"negative budget: patience {patience}, rounds {rounds}")
-    informant = inf_family_informant()
-    one_rep = informant.word(0)
-
     ones: set[int] = set()
-    view = _GrowingTargetView(ones, informant)
+    view = _GrowingTargetView(ones, inf_family_informant())
+    one_rep = view._word(0)
     state = learner.start_state
     stage = 0
     hyp = None
@@ -226,9 +226,8 @@ def bc_class_membership_procedure(bc: Learner, relation, y: Word, b, z: Word,
     commit: dict[int, int] = {}       # open slot -> committed prefix length of y
     width = 0
     values = []
+    informant = Informant(lambda j: z if j == 0 else pins.get(j - 1, y))
     for s in range(horizon):
-        # fresh each stage: an informant caches the words it returns
-        informant = Informant(lambda j: z if j == 0 else pins.get(j - 1, y))
         i_s = run_session(bc, y, informant, max(s, 1)).hypotheses[s]
         values.append(i_s)
 

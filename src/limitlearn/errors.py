@@ -42,9 +42,9 @@ def natural(text, what: str, lo: int = 0, hi: int | None = None) -> int:
     digits = isinstance(text, str) and text.isascii() and text.removeprefix("-").isdigit()
     if type(text) is not int and not digits:
         raise ConfigError(f"{what} must be a natural number, got {text!r}")
+    if str(text).startswith("-"):  # "-0" too, which int() reads as 0
+        raise ConfigError(f"{what} must be nonnegative, got {text}")
     n = int(text)
-    if n < 0:
-        raise ConfigError(f"{what} must be nonnegative, got {n}")
     if n < lo:
         raise ConfigError(f"{what} must be at least {lo}, got {n}")
     if hi is not None and n > hi:

@@ -316,9 +316,9 @@ def search(x, y, floor, mu, lift, outer):
 """
 
 
-@functools.lru_cache(maxsize=256)
 def lower(p) -> Lowered:
-    """Lower the predicate p once and compile its parts; see Lowered."""
+    """Lower the predicate p and compile its parts, anew on each call; see
+    Lowered.  Each EF or FE code node keeps its lowering in `.lowered`."""
     holds, mask, reads, profile = _lower(p)
     source = _HOLDS_SOURCE.format(holds=holds)
     if not profile[2]:

@@ -8,7 +8,6 @@ determinism plus the schedule realizes the continuity contract.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -43,11 +42,11 @@ def cantor_unpair(k: int) -> tuple[int, int]:
 
 
 class Informant:
-    """Reference words: word j is fn(j), computed once, for j < size, or for
-    every j >= 0 when size is None (a generator); otherwise word(j) is None."""
+    """Reference words: word j is fn(j), called on each lookup, for j < size,
+    or for every j >= 0 when size is None (a generator); else word(j) is None."""
 
     def __init__(self, fn, size=None):
-        self._fn = functools.cache(fn)
+        self._fn = fn
         self.size = size
 
     @staticmethod

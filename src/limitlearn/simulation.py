@@ -159,24 +159,21 @@ def run_session(learner: Learner, target: Word, informant: Informant,
 def summarize(trace: SessionTrace, relation,
               certificate: ConvergenceCertificate | None = None) -> SessionReport:
     hyps = trace.hypotheses
-    horizon = trace.horizon
 
     def correct(h: int) -> bool:
         w = trace.informant.word(h)
         return w is not None and relation.decide(trace.target, w)
 
     changes = [s for s in range(1, len(hyps)) if hyps[s] != hyps[s - 1]]
-    mind_changes = len(changes)
     last_change = changes[-1] if changes else 0
-    ex_correct = correct(hyps[-1]) and last_change < horizon
-
+    # one decision per run of one hypothesis, from the last run back
     bc_start = None
-    if correct(hyps[-1]):
-        s = len(hyps) - 1
-        while s > 0 and correct(hyps[s - 1]):
-            s -= 1
-        bc_start = s
-    return SessionReport(mind_changes, last_change, ex_correct, bc_start, certificate)
+    for start in reversed([0] + changes):
+        if not correct(hyps[start]):
+            break
+        bc_start = start
+    ex_correct = bc_start is not None and last_change < trace.horizon
+    return SessionReport(len(changes), last_change, ex_correct, bc_start, certificate)
 
 
 def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificate | None:

@@ -395,6 +395,13 @@ def test_numbers_are_plain_ascii_digits(capsys, workdir):
     with pytest.raises(ConfigError, match="natural number"):
         natural(True, "horizon")
     assert natural("07", "horizon") == natural(7, "horizon") == 7
+    # int() reads "-0" as 0, so a leading minus is refused before it
+    for text in ("-0", "-00", "-5", -5):
+        with pytest.raises(ConfigError, match="horizon must be nonnegative"):
+            natural(text, "horizon")
+    code, out, err = run_cli(capsys, "crosscheck", "--relation", "e0", "--samples", "3",
+                             "--seed=-0")
+    assert code == 2 and out == "" and "seed must be nonnegative" in err
     with pytest.raises(ConfigError, match="tree path component"):
         parse_tree_file("node 1_0")
     with pytest.raises(ConfigError, match="index term component"):

@@ -382,6 +382,12 @@ def test_exact_inner_bound_rejects_negative_outer_values():
     assert exact_inner_bound(e0_code().lowered, x, y, 0) >= 1
 
 
+def test_each_code_node_keeps_one_lowering():
+    # lower() compiles anew on each call, so a node's .lowered is the only memo
+    for code in (e0_code(), ForallExists(BitOf("x", TERM_N))):
+        assert code.lowered is code.lowered
+
+
 def test_lower_rejects_a_predicate_too_deep_to_compile():
     deep = BitOf("x", TERM_M)
     for _ in range(300):

@@ -113,19 +113,6 @@ def test_informant_generators():
         inf.explicit_words()
 
 
-def test_informant_caches_its_function():
-    calls = []
-
-    def fn(j):
-        calls.append(j)
-        return W("|0")
-
-    inf = Informant(fn)
-    inf.word(3)
-    inf.word(3)
-    assert calls == [3]
-
-
 # -------------------------------------------------------------- synthesized
 
 def test_synth_rejects_non_ef_codes():

@@ -251,6 +251,20 @@ def test_bc_without_ex_convergence():
     assert report.bc_correct_suffix_start == 0
 
 
+def test_summarize_decides_once_per_hypothesis_run():
+    calls = []
+
+    class CountingE0:
+        def decide(self, x, y):
+            calls.append((x, y))
+            return E0.decide(x, y)
+
+    trace = run_session(CyclingLearner((0,)), W("1|0"), Informant.explicit([W("|0")]), 1000)
+    report = summarize(trace, CountingE0())
+    assert report == SessionReport(0, 0, True, 0, None)
+    assert len(calls) <= report.mind_changes + 1
+
+
 # ------------------------------------------------------------- certificates
 
 def test_reference_certificate():

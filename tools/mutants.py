@@ -182,6 +182,25 @@ ROWS = [
     (SIMULATION, "[m + 1 for m in witnesses]", "[m for m in witnesses]",
      "tests/test_simulation.py::test_certificates_on_random_codes",
      "a certificate's stabilization stage is one short of its last refuting m"),
+    (ADVERSARY, "lambda j: z if j == 0", "lambda j, pins=dict(pins): z if j == 0",
+     "tests/test_adversary.py::test_membership_values_match_the_slot_reference",
+     "the membership informant reads the pins as they were before the first stage"),
+    (SIMULATION, "reversed([0] + changes)", "reversed(changes)",
+     "tests/test_simulation.py::test_bc_without_ex_convergence",
+     "summarize never decides the first run of one hypothesis, so BC starts after it"),
+    (SIMULATION, "ex_correct = bc_start is not None and last_change < trace.horizon",
+     "ex_correct = bc_start is not None",
+     "tests/test_simulation.py::test_bc_without_ex_convergence",
+     "a mind change at the horizon does not spoil EX correctness"),
+    (SIMULATION, "reversed([0] + changes)", "reversed(range(len(hyps)))",
+     "tests/test_simulation.py::test_summarize_decides_once_per_hypothesis_run",
+     "summarize decides the hypothesis at every stage, not once per run"),
+    (FORMULAS, "    @functools.cached_property\n    def lowered(self) -> Lowered:\n"
+     "        \"\"\"lower(pred), built once per node",
+     "    @property\n    def lowered(self) -> Lowered:\n"
+     "        \"\"\"lower(pred), built once per node",
+     "tests/test_formulas.py::test_each_code_node_keeps_one_lowering",
+     "an EF code lowers its predicate again on every read of .lowered"),
 ]
 
 
