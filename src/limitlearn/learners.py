@@ -73,9 +73,8 @@ class Learner:
     A learner declares `use`, its use schedule of (a, b) pairs, `start_state`,
     the state stage 0 steps from, and `pointer_at`, the state field holding
     its pointer (None: it has none).  It overrides neither schedule method:
-    the bound at stage s is the largest a*s + b over the pairs, never below
-    0, so the empty schedule reads nothing.  Sessions read `use`, so a
-    `use_bound_at` override fails its first session read (UseViolation).
+    `use_bound_at(s)` is the largest a*s + b over the pairs, never below 0,
+    so the empty schedule reads nothing; a session reads it via `use_bounds`.
     `step` must be a deterministic function of its state, its stage and the
     answers its view returns: no clock, randomness or other hidden input.
     So two runs whose views answer every read alike are the same run.
@@ -101,13 +100,13 @@ class Learner:
         return bound
 
     def use_bounds(self, horizon: int) -> list:
-        """`use_bound_at` over 0..horizon, one column a*s + b per pair and a
-        column of zeros where some b < 0 (no pair in src/ has a < 0)."""
+        """`use_bound_at` over 0..horizon, as a session reads it: a lone pair
+        (a, b) with a, b >= 0 as its column a*s + b, else stage by stage."""
         n = horizon + 1
-        cols = [range(b, b + a * n, a) if a else [b] * n for a, b in self.use]
-        if not cols or any(b < 0 for _, b in self.use):
-            cols.append([0] * n)
-        return list(map(max, *cols)) if len(cols) > 1 else list(cols[0])
+        if len(self.use) != 1 or min(self.use[0]) < 0:
+            return list(map(self.use_bound_at, range(n)))
+        a, b = self.use[0]
+        return list(range(b, b + a * n, a)) if a else [b] * n
 
 
 def _stage_use(lowerings) -> tuple:

@@ -187,8 +187,8 @@ def _decide_sim5(x, y):
     return x.bit(0) == y.bit(0) and not x.is_inf and not y.is_inf
 
 
-def _tree_decider(t: TreeSpec):
-    branches = frozenset(w for w in (branch_word(g) for g in t.generators) if w is not None)
+def _tree_decider(branches: frozenset):
+    """E_T: equal, or even parts in `branches` and odd parts infinite."""
 
     def decide(x, y):
         if x == y:
@@ -275,8 +275,8 @@ def make_relation(name: str, params: TreeSpec | None = None) -> RelationSpec:
     if name == "tree":
         if params is None:
             raise ConfigError("relation tree needs a TreeSpec")
-        learnable = "NO" if params.generators else "YES"
-        return RelationSpec("tree", None, _tree_decider(params), learnable)
+        branches = frozenset(w for w in map(branch_word, params.generators) if w is not None)
+        return RelationSpec("tree", None, _tree_decider(branches), "NO" if branches else "YES")
     if params is not None:
         raise ConfigError(f"relation {name!r} takes no tree parameter")
     return RelationSpec(name, code_fn() if code_fn else None, decide, learnable)

@@ -51,11 +51,10 @@ class StageView:
 
     __slots__ = ("_target", "_rows", "_stage", "_bound", "reads", "informant_size")
 
-    def __init__(self, target_table, rows, stage: int, bound: int, informant_size):
+    def __init__(self, target_table, rows, informant_size):
         self._target = target_table
         self._rows = rows
-        self._stage = stage
-        self._bound = bound
+        self._stage = self._bound = 0
         self.reads = set()
         self.informant_size = informant_size
 
@@ -130,8 +129,7 @@ def run_session(learner: Learner, target: Word, informant: Informant,
         raise ConfigError(f"horizon must be at least 1, got {horizon}")
     bounds = learner.use_bounds(horizon)
     length = max(bounds)
-    view = StageView(target.bit_table(length), _InformantRows(informant, length),
-                     0, 0, informant.size)
+    view = StageView(target.bit_table(length), _InformantRows(informant, length), informant.size)
     state = learner.start_state
     step, at = learner.step, learner.pointer_at
     hyps, pointers, reads = [], [], []

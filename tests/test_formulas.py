@@ -12,7 +12,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limitlearn.adversary import enumerate_words
@@ -120,6 +120,7 @@ def test_countle_counts_a_window():
     p2 = CountLe("x", const_term(0), const_term(4), const_term(2))
     assert eval_pred(p3, w, w, 0, 0) is True
     assert eval_pred(p2, w, w, 0, 0) is False
+    assert compile_pred(p3, w.bit, w.bit)(0, 0) and not compile_pred(p2, w.bit, w.bit)(0, 0)
 
 
 def test_use_bound_examples():
@@ -249,6 +250,10 @@ def test_exact_agreement_with_slow_period_scan():
 
 @settings(max_examples=1000, deadline=None)
 @given(preds, words, words, st.booleans())
+# the first refuting m = 2 is below the inner floor L + P = 3, not below L;
+# the second's witness n = 1 is below the outer bound, not below L + 1
+@example(Not(BitEq(const_term(0), IndexTerm(0, 1, 0))), Word("", "0"), Word("00", "1"), True)
+@example(BitOf("y", IndexTerm(1, 0, 0)), Word("", "0"), Word("", "01"), False)
 def test_exact_witness_matches_a_wider_brute_force_scan(p, x, y, fe):
     """Scan n < 3*outer and m < 3*inner(n) with eval_pred.  The first n that
     survives that scan is the exact witness: a brute-force witness never comes

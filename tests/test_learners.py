@@ -142,8 +142,9 @@ class DeclaredSchedule(Learner):
 
 def test_use_bounds_never_go_below_zero():
     """Both schedule methods floor the bound at 0: a pair whose value is
-    negative and the empty schedule read nothing."""
-    for use, want in ((((1, -1),), [0, 0, 1, 2]), ((), [0, 0, 0, 0])):
+    negative, at the start or past it, and the empty schedule read nothing."""
+    for use, want in ((((1, -1),), [0, 0, 1, 2]), (((-1, 2),), [2, 1, 0, 0]),
+                      ((), [0, 0, 0, 0])):
         learner = DeclaredSchedule(use)
         assert [learner.use_bound_at(s) for s in range(4)] == want
         assert learner.use_bounds(3) == want

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limitlearn.adversary import enumerate_words
 from limitlearn.errors import ConfigError
 from limitlearn.relations import (
     CATALOG_NAMES,
@@ -219,10 +220,16 @@ def test_generator_branch_size_cap():
         TreeSpec(frozenset(), frozenset({((499_999,), (1,)), ((), (500_000,))}))
 
 
-def test_wellfoundedness_is_generator_freeness():
+def test_learnability_follows_the_branches_the_relation_reads():
+    """A tree is NO exactly when some generator has a branch word.  A generator
+    whose labels fall, as in gen 3.1 : 1, or repeat enumerates no word."""
     assert make_relation("tree", TreeSpec(frozenset({()}), frozenset())).learnable == "YES"
     tree = TreeSpec(frozenset(), frozenset({((), (1,))}))
     assert make_relation("tree", tree).learnable == "NO"
+    falling = make_relation("tree", TreeSpec(frozenset(), frozenset({((3, 1), (1,))})))
+    assert falling.learnable == "YES"
+    ws = enumerate_words(4)
+    assert not any(falling.decide(x, y) for x in ws for y in ws if x != y)
 
 
 def test_branch_word_values():

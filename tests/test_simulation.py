@@ -60,7 +60,9 @@ def one_word_view(stage, bound):
     run_session builds it."""
     informant = Informant.explicit([W("|1")])
     rows = _InformantRows(informant, bound)
-    return StageView(W("|0").bit_table(bound), rows, stage, bound, informant.size)
+    view = StageView(W("|0").bit_table(bound), rows, informant.size)
+    view._stage, view._bound = stage, bound
+    return view
 
 
 def test_stage_view_logs_reads():
@@ -205,6 +207,18 @@ def test_run_session_surfaces_use_violations():
 
     with pytest.raises(UseViolation):
         run_session(Greedy(), W("|0"), Informant.explicit([W("|0")]), 1)
+
+    class Shrinking(Learner):
+        """Its bound 2 - s reaches 0 at stage 2, so its read at stage 3 is refused."""
+
+        use = ((-1, 2),)
+
+        def step(self, state, stage, view):
+            return state, view.target_bit(0) if stage == 3 else 0
+
+    with pytest.raises(UseViolation) as exc:
+        run_session(Shrinking(), W("|0"), Informant.explicit([W("|0")]), 3)
+    assert (exc.value.stage, exc.value.position, exc.value.bound) == (3, 0, 0)
 
 
 def test_run_session_asserts_pointer_monotonicity():

@@ -40,16 +40,15 @@ ROWS = [
     (LEARNERS, "        for a, b in self.use:\n", "        for a, b in self.use[:-1]:\n",
      "tests/test_learners.py::test_synth_use_bound_is_the_code_use_bound",
      "the per-stage use bound skips the last pair"),
-    (LEARNERS, "return list(map(max, *cols)) if len(cols) > 1 else list(cols[0])",
-     "return list(cols[0])",
-     "tests/test_learners.py::test_synth_use_bound_is_the_code_use_bound",
-     "the bulk schedule keeps only its first column"),
     (LEARNERS, "        n = horizon + 1\n", "        n = horizon\n",
      "tests/test_learners.py::test_cycling_learner",
      "the bulk schedule stops one stage short"),
-    (LEARNERS, "if not cols or any(b < 0 for _, b in self.use):", "if not cols:",
+    (LEARNERS, "min(self.use[0]) < 0", "min(self.use[0]) < -1",
      "tests/test_learners.py::test_use_bounds_never_go_below_zero",
-     "the bulk schedule goes below 0 where a pair's value is negative"),
+     "the pair (1, -1) takes the column path, so its bulk schedule starts at -1"),
+    (LEARNERS, "min(self.use[0]) < 0", "self.use[0][1] < 0",
+     "tests/test_learners.py::test_use_bounds_never_go_below_zero",
+     "the column path takes a pair with a < 0, so its bulk schedule falls below 0"),
     (LEARNERS, "(a, b - len(prefix))", "(a, b - len(prefix) - 1)",
      "tests/test_learners.py::test_step_never_mutates_its_state",
      "the transported schedule shifts by one position too many"),
@@ -195,6 +194,37 @@ ROWS = [
     (SIMULATION, "reversed([0] + changes)", "reversed(range(len(hyps)))",
      "tests/test_simulation.py::test_summarize_decides_once_per_hypothesis_run",
      "summarize decides the hypothesis at every stage, not once per run"),
+    (RELATIONS, '"NO" if branches else "YES"', '"NO" if params.generators else "YES"',
+     "tests/test_relations.py::test_learnability_follows_the_branches_the_relation_reads",
+     "a tree is labelled NO for a generator that enumerates no word"),
+    (FORMULAS, "return big_l + period, mu, kappa + 1 + period, outer",
+     "return big_l, mu, kappa + 1 + period, outer",
+     "tests/test_formulas.py::test_exact_witness_matches_a_wider_brute_force_scan",
+     "the exact search's inner floor drops its + P, so it misses a refutation at m = L + P - 1"),
+    (FORMULAS, "outer = max(classical, big_l + 3 * period + 2 * kappa + 2)", "outer = big_l + 1",
+     "tests/test_formulas.py::test_exact_witness_matches_a_wider_brute_force_scan",
+     "the exact search stops its outer scan at L + 1"),
+    (FORMULAS, "range({_at(lo)}, {_at(hi)})", "range({_at(lo)}, {_at(hi)} + 1)",
+     "tests/test_formulas.py::test_countle_counts_a_window",
+     "a lowered cntle atom counts one position past hi"),
+    (FORMULAS, "    for m in range(lo, hi):\n        if not {holds}:\n            return False\n    return True\n",
+     "    ok = True\n    for m in range(lo, hi):\n        if not {holds}:\n            ok = False\n    return ok\n",
+     "tests/test_formulas.py::test_compile_reads_what_eval_pred_reads_in_its_order",
+     "the range test runs on past the first false m"),
+    (SIMULATION, "    length = max(bounds)\n", "    length = max(bounds) - 1\n",
+     "tests/test_cli.py::test_pointer_free_transcripts",
+     "a session's bit tables stop one position short of the largest use bound"),
+    (SIMULATION, "w = self._informant.word(j)", "w = self._informant.word(j + 1)",
+     "tests/test_simulation.py::test_reference_session_trace",
+     "a session's informant row j is built from word j + 1"),
+    (SIMULATION, "max([k] + [m + 1", "max([k - 1] + [m + 1",
+     "tests/test_simulation.py::test_reference_certificate",
+     "a certificate's stabilization stage counts from the pair before the limit pair"),
+    (LEARNERS, "    def step(self, state, stage: int, view):\n        recent = range(",
+     "    start_state = []\n\n    def step(self, state, stage: int, view):\n"
+     "        state.append(stage)\n        recent = range(",
+     "tests/test_learners.py::test_step_never_mutates_its_state",
+     "recent-ones keeps a list state and appends to it in step"),
     (FORMULAS, "    @functools.cached_property\n    def lowered(self) -> Lowered:\n"
      "        \"\"\"lower(pred), built once per node",
      "    @property\n    def lowered(self) -> Lowered:\n"
