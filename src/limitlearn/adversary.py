@@ -7,7 +7,6 @@ slots.  Every verdict ships enough committed data to replay it exactly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .learners import (
     SynthLearner,
 )
 from .relations import e0_code, id_code
-from .simulation import check_read, run_session
+from .simulation import InformantRows, check_read, run_session
 from .words import Word
 
 __all__ = [
@@ -57,14 +56,14 @@ def inf_family_informant() -> Informant:
 
 
 class _GrowingTargetView:
-    """Stage view over a target defined by a mutable set of one-positions;
-    `frontier` rises to one past each target position read.  The diagonalizer
-    advances one view through the stages, as `run_session` does, and fetches
-    each informant word once."""
+    """Stage view over a target whose one-positions are the committed set
+    `ones`; `frontier` rises to one past each target position read.  The
+    diagonalizer advances one view through the stages, as `run_session` does,
+    and reads the informant's words from one store."""
 
-    def __init__(self, ones, informant):
-        self._ones = ones
-        self._word = functools.cache(informant.word)
+    def __init__(self, informant):
+        self.ones = set()
+        self.words = InformantRows(informant, lambda w: w)
         self._stage = self._bound = self.frontier = 0
         self.informant_size = informant.size
 
@@ -73,15 +72,12 @@ class _GrowingTargetView:
             check_read(self._stage, pos, self._bound)
         if pos >= self.frontier:
             self.frontier = pos + 1
-        return 1 if pos in self._ones else 0
+        return 1 if pos in self.ones else 0
 
     def informant_bit(self, j, pos):
         if not 0 <= pos < self._bound:
             check_read(self._stage, pos, self._bound)
-        w = self._word(j)
-        if w is None:
-            raise ConfigError(f"informant index {j} out of range")
-        return w.bit(pos)
+        return self.words[j].bit(pos)
 
 
 def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> AdversaryRun:
@@ -97,9 +93,8 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
         raise ConfigError(f"diagonalization targets sim0 or sim1, not {relation.name}")
     if patience < 0 or rounds < 0:
         raise ConfigError(f"negative budget: patience {patience}, rounds {rounds}")
-    ones: set[int] = set()
-    view = _GrowingTargetView(ones, inf_family_informant())
-    one_rep = view._word(0)
+    view = _GrowingTargetView(inf_family_informant())
+    one_rep = view.words[0]
     state = learner.start_state
     stage = 0
     hyp = None
@@ -119,7 +114,7 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
                 break
             fed += 1
             if fed > patience:
-                witness = words.finite_support_word(sum(1 << p for p in ones))
+                witness = words.finite_support_word(sum(1 << p for p in view.ones))
                 if witness.is_inf or relation.decide(witness, one_rep):
                     raise ContractViolation(
                         f"round {r}: stuck witness {witness.literal} does not refute "
@@ -128,12 +123,12 @@ def diagonalize_inf(learner: Learner, relation, patience: int, rounds: int) -> A
                 return AdversaryRun(witness, tuple(phase_log), tuple(mind_changes),
                                     "LEARNER_STUCK", None, witness)
         # every committed one sits below the frontier, so this one is past them all
-        ones.add(view.frontier)
+        view.ones.add(view.frontier)
         phase_log.append(f"round {r}: left 0 after {fed} zero-fed stages, "
                          f"committed 1 at {view.frontier}")
         view.frontier += 1
 
-    committed = words.finite_support_word(sum(1 << p for p in ones))
+    committed = words.finite_support_word(sum(1 << p for p in view.ones))
     return AdversaryRun(committed, tuple(phase_log), tuple(mind_changes),
                         "FORCED", rounds, None)
 

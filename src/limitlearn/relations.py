@@ -8,6 +8,7 @@ drive the E_T construction.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import ConfigError, natural
@@ -126,7 +127,9 @@ def parse_tree_file(text: str) -> TreeSpec:
     def path(tok: str) -> tuple:
         if not tok:
             return ()
-        return tuple(natural(v, "tree path component") for v in tok.split("."))
+        # one component at a time: split()'s list of strings would outlive the ints
+        return tuple(natural(v[1], "tree path component")
+                     for v in re.finditer(r"(?:^|\.)([^.]*)", tok))
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

@@ -71,19 +71,21 @@ class StageView:
         return self._rows[j][pos]
 
 
-class _InformantRows(dict):
-    """One session's informant bit tables by index, each built on first read."""
+class InformantRows(dict):
+    """One run's informant rows by index: row j is `row(word j)`, built on
+    the first read of index j, so each word is fetched once per run.  A
+    session's rows are bit tables, the diagonalizer's the words themselves."""
 
-    def __init__(self, informant: Informant, length: int):
+    def __init__(self, informant: Informant, row):
         super().__init__()
         self._informant = informant
-        self._length = length
+        self._row = row
 
     def __missing__(self, j):
         w = self._informant.word(j)
         if w is None:
             raise ConfigError(f"informant index {j} out of range")
-        row = self[j] = w.bit_table(self._length)
+        row = self[j] = self._row(w)
         return row
 
 
@@ -129,7 +131,8 @@ def run_session(learner: Learner, target: Word, informant: Informant,
         raise ConfigError(f"horizon must be at least 1, got {horizon}")
     bounds = learner.use_bounds(horizon)
     length = max(bounds)
-    view = StageView(target.bit_table(length), _InformantRows(informant, length), informant.size)
+    rows = InformantRows(informant, lambda w: w.bit_table(length))
+    view = StageView(target.bit_table(length), rows, informant.size)
     state = learner.start_state
     step, at = learner.step, learner.pointer_at
     hyps, pointers, reads = [], [], []
@@ -190,21 +193,16 @@ def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificat
         return None
 
     refutations = []
-    k = 0
-    while True:
+    for k in itertools.count():
         a, b = cantor_unpair(k)
-        if a >= len(ws):
-            refutations.append((a, b, None))
-            k += 1
-            continue
-        m = least_refutation(learner.lowered, target, ws[a], b)
-        if m is None:
-            break
+        m = None
+        if a < len(ws):
+            m = least_refutation(learner.lowered, target, ws[a], b)
+            if m is None:
+                break
         refutations.append((a, b, m))
-        k += 1
 
-    witnesses = [m for (_, _, m) in refutations if m is not None]
-    stabilization = max([k] + [m + 1 for m in witnesses])
+    stabilization = max([k] + [m + 1 for _, _, m in refutations if m is not None])
     return ConvergenceCertificate(a, tuple(refutations), stabilization)
 
 

@@ -6,10 +6,13 @@ Every verdict asserted here was replayed by hand or checked against the
 relation oracles; committed data must always survive independent replay.
 """
 
+import collections
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from limitlearn import words
 from limitlearn.adversary import (
     MembershipRun,
     bc_class_membership_procedure,
@@ -25,7 +28,7 @@ from limitlearn.errors import ConfigError, ContractViolation, UseViolation
 from limitlearn.formulas import eval_exact_ep
 from limitlearn.learners import CyclingLearner, Informant, Learner, SynthLearner
 from limitlearn.relations import e0_code, make_relation
-from limitlearn.simulation import run_session
+from limitlearn.simulation import InformantRows, run_session
 from limitlearn.words import Word, parse_word as W
 
 E0 = make_relation("e0")
@@ -109,7 +112,8 @@ def test_diagonalize_view_rejects_what_the_stage_view_rejects(read, error):
     """Target position -1, informant index -1 and informant position -1 are
     configuration errors under the diagonalizer's growing target view, as
     under StageView; an informant read at the use bound 1 is a use violation
-    at stage 0 under both."""
+    at stage 0 under both.  Both views refuse the bad index in the one
+    informant store."""
     learner = OneReadLearner(read)
     for run in (lambda: run_session(learner, W("|0"), inf_family_informant(), 2),
                 lambda: diagonalize_inf(learner, SIM0, 4, 2)):
@@ -117,6 +121,32 @@ def test_diagonalize_view_rejects_what_the_stage_view_rejects(read, error):
             run()
         if error is UseViolation:
             assert (exc.value.stage, exc.value.position, exc.value.bound) == (0, 1, 1)
+        in_store = isinstance(exc.traceback[-1].frame.f_locals.get("self"), InformantRows)
+        assert in_store == (str(exc.value) == "informant index -1 out of range")
+
+
+def test_diagonalize_fetches_each_informant_word_once(monkeypatch):
+    """Each informant index is fetched once per diagonalization, however
+    often the learner reads it: index j >= 1 builds finite_support_word(j - 1),
+    and its reads answer from that word."""
+    calls = collections.Counter()
+    build = words.finite_support_word
+
+    def counted(i):
+        calls[i] += 1
+        return build(i)
+
+    monkeypatch.setattr(words, "finite_support_word", counted)
+    bits = []
+
+    def read(view):
+        bits.append([view.informant_bit(j, 0) for j in (1, 2, 3, 1, 2, 3)])
+
+    run = diagonalize_inf(OneReadLearner(read), SIM0, 4, 3)
+    # |0, 1|0 and 01|0 at three stages, then the committed target 111|0, built from 7
+    assert bits == [[0, 1, 0] * 2] * 3
+    assert run.committed_target == W("111|0")
+    assert calls == {0: 1, 1: 1, 2: 1, 7: 1}
 
 
 def test_diagonalize_run_survives_replay():

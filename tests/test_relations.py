@@ -315,9 +315,10 @@ def test_parse_tree_file_errors():
     for bad in ("branch 0", "gen 0 2", "gen 0 :", "node 0.x", "node 0 1"):
         with pytest.raises(ConfigError):
             parse_tree_file(bad)
-    # a negative component is rejected by the path parser, not later by TreeSpec
-    with pytest.raises(ConfigError, match="tree path component"):
-        parse_tree_file("node 0.-1")
+    # a negative or empty component is rejected by the path parser, not later by TreeSpec
+    for bad in ("node 0.-1", "node 0..1", "node 1.", "gen .1 : 1"):
+        with pytest.raises(ConfigError, match="tree path component"):
+            parse_tree_file(bad)
 
 
 # --------------------------------------------------------- equivalence laws

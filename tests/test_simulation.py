@@ -29,8 +29,8 @@ from limitlearn.relations import e0_code, id_code, make_relation
 from limitlearn.simulation import (
     ConvergenceCertificate,
     SessionReport,
+    InformantRows,
     StageView,
-    _InformantRows,
     certify_convergence,
     format_stage_record,
     format_summary_record,
@@ -59,7 +59,7 @@ def one_word_view(stage, bound):
     """A stage view over target |0 and the one-word informant (|1), built as
     run_session builds it."""
     informant = Informant.explicit([W("|1")])
-    rows = _InformantRows(informant, bound)
+    rows = InformantRows(informant, lambda w: w.bit_table(bound))
     view = StageView(W("|0").bit_table(bound), rows, informant.size)
     view._stage, view._bound = stage, bound
     return view

@@ -6,7 +6,11 @@
 For each row, src, tests, README.md and pyproject.toml (the CLI tests read
 both files) are copied to a temporary directory, the row's old snippet,
 which must occur exactly once in its file, is replaced by the new snippet,
-and `python -m pytest -x -q` runs the row's test selection on that copy.
+and `python -m pytest -x -q --hypothesis-profile=mutants` runs the row's
+test selection on that copy.  The profile, registered in tests/conftest.py,
+derandomizes Hypothesis and skips shrinking, so a row's verdict depends only
+on the code; a row that survives under it gets its input pinned with
+`@example`.
 A row is killed when pytest exits 1.  Exit 0 means the mutant survived;
 any other exit code (2: a collection error, 4: a selected test that does
 not import or exist, 5: no test collected), or an old snippet that does
@@ -155,8 +159,8 @@ ROWS = [
      "with_bits(x, {1: 0}) == with_bits(y, {1: 0})",
      "tests/test_relations.py::test_sim3_sim4_sim5_values",
      "sim3 ignores bit 1 instead of bit 0"),
-    (ADVERSARY, "committed = words.finite_support_word(sum(1 << p for p in ones))",
-     "committed = words.finite_support_word(sum(1 << p + 1 for p in ones))",
+    (ADVERSARY, "committed = words.finite_support_word(sum(1 << p for p in view.ones))",
+     "committed = words.finite_support_word(sum(1 << p + 1 for p in view.ones))",
      "tests/test_adversary.py::test_diagonalize_forces_the_synthesized_learner",
      "the committed target puts each one a position past where it was committed"),
     (ADVERSARY, "if w.size == total:", "if w.size <= total:",
@@ -178,7 +182,7 @@ ROWS = [
     (LEARNERS, "if a else (b + 1, 0)", "if a else (b, 0)",
      "tests/test_learners.py::test_synth_step_matches_the_reference_walk",
      "the synth learner's pair walk never leaves its first diagonal"),
-    (SIMULATION, "[m + 1 for m in witnesses]", "[m for m in witnesses]",
+    (SIMULATION, "[m + 1 for _, _, m in refutations", "[m for _, _, m in refutations",
      "tests/test_simulation.py::test_certificates_on_random_codes",
      "a certificate's stabilization stage is one short of its last refuting m"),
     (ADVERSARY, "lambda j: z if j == 0", "lambda j, pins=dict(pins): z if j == 0",
@@ -231,6 +235,15 @@ ROWS = [
      "        \"\"\"lower(pred), built once per node",
      "tests/test_formulas.py::test_each_code_node_keeps_one_lowering",
      "an EF code lowers its predicate again on every read of .lowered"),
+    (SIMULATION, "        row = self[j] = self._row(w)\n", "        row = self._row(w)\n",
+     "tests/test_adversary.py::test_diagonalize_fetches_each_informant_word_once",
+     "the informant store builds a row on every read instead of once per index"),
+    (ADVERSARY, "InformantRows(informant, lambda w: w)", 'InformantRows(informant, lambda w: Word("", "1"))',
+     "tests/test_adversary.py::test_diagonalize_fetches_each_informant_word_once",
+     "the diagonalizer's informant reads answer from the word at index 0 whatever the index"),
+    (RELATIONS, r"(?:^|\.)", r"\.",
+     "tests/test_relations.py::test_parse_tree_file",
+     "a tree path drops its first component"),
 ]
 
 
@@ -252,7 +265,7 @@ def run_row(row) -> tuple[str, str]:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(Path(tmp) / "src"), os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                               *selection.split()],
+                               "--hypothesis-profile=mutants", *selection.split()],
                               cwd=tmp, env=env, capture_output=True, text=True)
     verdict = {1: "killed", 0: "SURVIVED"}.get(done.returncode, "BROKEN")
     return verdict, f"pytest exit {done.returncode}\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
