@@ -29,6 +29,7 @@ from .errors import (
     ContractViolation,
     CrosscheckDisagreement,
     UnsupportedAtomError,
+    content_lines,
     natural,
     read_text,
 )
@@ -85,10 +86,7 @@ _GENERATORS = {
 
 def parse_config_file(text: str) -> dict:
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in content_lines(text, "#"):
         key, eq, value = line.partition("=")
         if not eq:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}")
@@ -160,7 +158,8 @@ def _cmd_simulate(cfg: SimpleNamespace, out) -> int:
                                   str(cfg.base_dir))
     trace = run_session(learner, target, informant, cfg.horizon)
     certificate = None
-    if isinstance(learner, SynthLearner) and informant.size is not None:
+    if (isinstance(learner, SynthLearner) and informant.size is not None
+            and learner.lowered.profile[2] is None):
         certificate = certify_convergence(learner, target)
     for s in range(trace.horizon + 1):
         print(format_stage_record(s, trace.hypotheses[s], trace.pointers[s],

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the two readers of
-outside input that raise ConfigError."""
+"""Exception types shared across the package, and the readers of outside
+input that raise ConfigError."""
 
 from pathlib import Path
 
@@ -58,3 +58,12 @@ def read_text(path: Path, what: str) -> str:
         return path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def content_lines(text: str, comment: str):
+    """(line number from 1, raw line, content) for each line of `text` whose
+    text before the first `comment` character, stripped, is not empty."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.partition(comment)[0].strip()
+        if content:
+            yield lineno, raw, content

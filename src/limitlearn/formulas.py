@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError, UnsupportedAtomError, natural
+from .errors import ConfigError, UnsupportedAtomError, content_lines, natural
 
 COEFF_CAP = 8
 
@@ -441,11 +441,8 @@ _MAX_NESTING = 64  # catalog codes nest 4 deep; far deeper text exhausts the sta
 
 
 def _tokenize(text: str):
-    clean = []
-    for line in text.splitlines():
-        semi = line.find(";")
-        clean.append(line if semi < 0 else line[:semi])
-    return "\n".join(clean).replace("(", " ( ").replace(")", " ) ").split()
+    clean = " ".join(line for _, _, line in content_lines(text, ";"))
+    return clean.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def _read_sexp(tokens, pos, depth=0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import words
-from .errors import ConfigError, ContractViolation, natural, read_text
+from .errors import ConfigError, ContractViolation, content_lines, natural, read_text
 from .formulas import ExistsForall, parse_formula, parse_formulas
 from .words import Word
 
@@ -327,18 +327,6 @@ _REDUCTIONS = {"identity": "", "prefix0": "0", "prefix1": "1"}
 _MAX_LAYERS = 64
 
 
-def _parse_rows_file(text: str):
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append([words.parse_word(tok) for tok in line.split()])
-    if not rows:
-        raise ConfigError("rows file holds no rows")
-    return rows
-
-
 def learner_from_string(spec: str, relation=None, informant: Informant | None = None, base_dir: str = ".") -> Learner:
     """Build a learner from a selection string like synth:FILE or cycling:2."""
     if re.match(f"(?:bc2ex:|transport:[^:]*:){{{_MAX_LAYERS + 1}}}", spec):
@@ -363,7 +351,11 @@ def learner_from_string(spec: str, relation=None, informant: Informant | None = 
     if kind == "separators":
         return SeparatorLearner(parse_formulas(read()))
     if kind == "countable":
-        return CountableClassLearner(_parse_rows_file(read()))
+        rows = [[words.parse_word(tok) for tok in line.split()]
+                for _, _, line in content_lines(read(), "#")]
+        if not rows:
+            raise ConfigError("rows file holds no rows")
+        return CountableClassLearner(rows)
     if kind == "bc2ex":
         if not rest:
             raise ConfigError("bc2ex needs an inner learner string")

@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ConfigError, natural
+from .errors import ConfigError, content_lines, natural
 from .formulas import (
     TERM_M,
     TERM_N,
@@ -131,10 +131,7 @@ def parse_tree_file(text: str) -> TreeSpec:
         return tuple(natural(v[1], "tree path component")
                      for v in re.finditer(r"(?:^|\.)([^.]*)", tok))
 
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, raw, line in content_lines(text, "#"):
         parts = line.split()
         if parts[0] == "node" and len(parts) == 2:
             nodes.add(path(parts[1]))

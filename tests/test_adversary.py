@@ -27,7 +27,7 @@ from limitlearn.adversary import (
 from limitlearn.errors import ConfigError, ContractViolation, UseViolation
 from limitlearn.formulas import eval_exact_ep
 from limitlearn.learners import CyclingLearner, Informant, Learner, SynthLearner
-from limitlearn.relations import e0_code, make_relation
+from limitlearn.relations import RelationSpec, e0_code, make_relation
 from limitlearn.simulation import InformantRows, run_session
 from limitlearn.words import Word, parse_word as W
 
@@ -73,6 +73,14 @@ def test_diagonalize_detects_a_stuck_learner():
     assert not run.witness.is_inf
     assert not SIM1.decide(run.witness, W("|1"))
     assert format_adversary_record(run) == "verdict=LEARNER_STUCK stages= target=|0 witness=|0"
+
+
+def test_diagonalize_checks_the_stuck_witness():
+    # a relation that holds everywhere lets no witness refute the parked claim
+    everywhere = RelationSpec("sim1", None, lambda x, y: True, "NO")
+    with pytest.raises(ContractViolation,
+                       match="round 0: stuck witness [|]0 does not refute the infinite-support claim"):
+        diagonalize_inf(CyclingLearner((0,)), everywhere, 2, 1)
 
 
 def test_diagonalize_zero_rounds_is_vacuous():

@@ -18,6 +18,7 @@ from limitlearn import cli
 from limitlearn.cli import _OPTIONS, main, parse_config_file
 from limitlearn.errors import ConfigError, natural
 from limitlearn.formulas import parse_formula
+from limitlearn.learners import learner_from_string
 from limitlearn.relations import parse_tree_file
 
 E0_CODE_TEXT = "(ef (or (le (ix 0 1 1) (ix 1 0 0)) (eq (ix 0 1 0) (ix 0 1 0))))\n"
@@ -107,6 +108,34 @@ def test_simulate_generator_informant_skips_certification(capsys, workdir):
     )
     assert code == 0
     assert out.splitlines()[-1].endswith("certified=-")
+
+
+# codes whose lowering refuses exact evaluation: a counting atom, a coefficient of 2
+REFUSED_CODES = {
+    "cnt.s2f": "(ef (cntle y (ix 0 1 0) (ix 0 1 1) (ix 0 0 1)))\n",
+    "steep.s2f": "(ef (eq (ix 0 2 0) (ix 0 2 0)))\n",
+}
+
+
+def test_simulate_skips_certification_when_exact_evaluation_refuses(capsys, tmp_path):
+    """The session still runs: its records are those of the same learner
+    behind the identity transport, which is never certified."""
+    for name, text in REFUSED_CODES.items():
+        path = tmp_path / name
+        path.write_text(text)
+        runs = []
+        for spec in (f"synth:{path}", f"transport:identity:synth:{path}"):
+            code, out, err = run_cli(
+                capsys, "simulate", "--relation", "e0", "--target", "1|0",
+                "--informant", "|1", "|0", "--horizon", "4", "--learner", spec)
+            assert code == 0 and err == "", (spec, err)
+            runs.append(out)
+        assert runs[0] == runs[1], name
+        assert runs[0].splitlines()[-1].endswith("certified=-")
+        # falsify and crosscheck need exact values, so they still refuse the code
+        for argv in (("falsify", "--max-size", "1"), ("crosscheck", "--samples", "1")):
+            code, out, err = run_cli(capsys, *argv, "--relation", "e0", "--code", str(path))
+            assert code == 2 and out == "" and err.startswith("error:"), (name, argv)
 
 
 def test_adversary_output(capsys):
@@ -376,6 +405,30 @@ def test_parse_config_file_values():
         parse_config_file("relation e0\n")
     with pytest.raises(ConfigError, match="line 2: duplicate key 'horizon'"):
         parse_config_file("horizon = 3\nhorizon = 5\n")
+
+
+def test_text_formats_share_one_comment_rule(tmp_path):
+    """Config, tree, rows and formula files read CRLF line endings, blank and
+    indented lines and a comment glued to a token as the bare text; errors
+    still quote the raw line and count every line."""
+    def rows(text):
+        (tmp_path / "rows.txt").write_text(text, newline="")
+        return learner_from_string("countable:rows.txt", base_dir=str(tmp_path)).rows
+
+    cases = [
+        (parse_config_file, "relation = e0\nhorizon = 3\n",
+         "# head\r\n   \r\n  relation = e0\r\nhorizon = 3#c\r\n"),
+        (parse_tree_file, "node 0.1\ngen 0 : 2\n",
+         "  # head\r\n\r\n  node 0.1#c\r\n   gen 0 : 2 # c\r\n"),
+        (rows, "|0 1|0\n|1\n", "# head\r\n \t \r\n|0 1|0#c\r\n  |1\r\n"),
+        (parse_formula, E0_CODE_TEXT, "; head\r\n  \r\n  " + E0_CODE_TEXT.strip() + ";c\r\n"),
+    ]
+    for parse, plain, noisy in cases:
+        assert parse(noisy) == parse(plain), noisy
+    with pytest.raises(ConfigError, match=r"^config line 3: expected key = value, got ' horizon 3#c'$"):
+        parse_config_file("# head\r\n\r\n horizon 3#c\r\n")
+    with pytest.raises(ConfigError, match=r"^bad tree line: '  bogus 1 # c'$"):
+        parse_tree_file("node 0\r\n  bogus 1 # c\r\n")
 
 
 def test_merge_rejects_bad_numbers(capsys, tmp_path):

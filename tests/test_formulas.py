@@ -399,6 +399,11 @@ def test_lower_rejects_a_predicate_too_deep_to_compile():
         deep = Not(deep)
     with pytest.raises(ConfigError):
         compile_pred(deep, Word("", "0").bit, Word("", "0").bit)
+    # a value that is no node of the grammar, as a predicate and as a formula
+    with pytest.raises(ConfigError, match="not a predicate node"):
+        lower(Not("x"))
+    with pytest.raises(ConfigError, match="not a formula node"):
+        eval_exact_ep(FAnd(id_code(), "x"), Word("", "0"), Word("", "0"))
 
 
 def test_exact_rejects_unsupported_atoms():

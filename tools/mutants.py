@@ -38,6 +38,8 @@ ADVERSARY = "src/limitlearn/adversary.py"
 FORMULAS = "src/limitlearn/formulas.py"
 RELATIONS = "src/limitlearn/relations.py"
 WORDS = "src/limitlearn/words.py"
+ERRORS = "src/limitlearn/errors.py"
+CLI = "src/limitlearn/cli.py"
 
 # (file, old snippet, new snippet, pytest selection, what the mutant breaks)
 ROWS = [
@@ -87,7 +89,7 @@ ROWS = [
     (LEARNERS, "        if not self.block:\n            raise ConfigError(\"cycling learner needs a nonempty block\")\n",
      "", "tests/test_learners.py::test_cycling_learner",
      "a cycling learner accepts an empty block"),
-    (LEARNERS, "    if not rows:\n        raise ConfigError(\"rows file holds no rows\")\n", "",
+    (LEARNERS, "        if not rows:\n            raise ConfigError(\"rows file holds no rows\")\n", "",
      "tests/test_learners.py::test_learner_from_string_errors",
      "countable:FILE accepts a file that holds no rows"),
     (SIMULATION, "            reads.append(frozenset(seen))\n            seen.clear()\n",
@@ -244,6 +246,20 @@ ROWS = [
     (RELATIONS, r"(?:^|\.)", r"\.",
      "tests/test_relations.py::test_parse_tree_file",
      "a tree path drops its first component"),
+    (ERRORS, "raw.partition(comment)[0].strip()", "raw.partition(comment)[0]",
+     "tests/test_cli.py::test_text_formats_share_one_comment_rule",
+     "the text reader keeps a line of blanks and the blanks around its content"),
+    (ERRORS, "raw.partition(comment)", 'raw.partition("#")',
+     "tests/test_cli.py::test_text_formats_share_one_comment_rule",
+     "the text reader cuts comments at # even in formula text, whose comments start at ;"),
+    (CLI, "\n            and learner.lowered.profile[2] is None):", "):",
+     "tests/test_cli.py::test_simulate_skips_certification_when_exact_evaluation_refuses",
+     "simulate certifies a synth code whose lowering refuses exact evaluation, so it exits 2"),
+    (ADVERSARY, "                if witness.is_inf or relation.decide(witness, one_rep):\n"
+     "                    raise ContractViolation(\n", "                if False:\n"
+     "                    raise ContractViolation(\n",
+     "tests/test_adversary.py::test_diagonalize_checks_the_stuck_witness",
+     "the diagonalizer reports a stuck witness that does not refute the parked claim"),
 ]
 
 
