@@ -55,8 +55,8 @@ from .words import finite_support_word, parse_word
 # accepted range (None: unbounded) and help; an int default marks a natural
 # number.  maxSize stops at 7: 544,644 pairs, which falsify sweeps in 6.7 s on
 # e0 and 0.8 s on id on a 2-core Xeon host under Python 3.11.7.  horizon stops
-# at 1,000,000, where README's e0 simulate session takes 11 s and peaks at
-# 474 MiB RSS on that host: a session builds its use bounds and bit tables for
+# at 1,000,000, where README's e0 simulate session takes 5.4-7.1 s and peaks at
+# 382 MiB RSS on that host: a session builds its use bounds and bit tables for
 # the whole horizon before stage 0, so 10^9 would need gigabytes first.
 # The budgets stop where a run still ends in seconds on that host: patience at
 # 1,000,000 (adversary against constant:0, 1.0 s; 10^7 takes 6.9 s), rounds at
@@ -163,7 +163,7 @@ def _cmd_simulate(cfg: SimpleNamespace, out) -> int:
         certificate = certify_convergence(learner, target)
     for s in range(trace.horizon + 1):
         print(format_stage_record(s, trace.hypotheses[s], trace.pointers[s],
-                                  len(trace.reads[s])), file=out)
+                                  len(trace.read_keys[s])), file=out)
     report = summarize(trace, relation, certificate)
     print(format_summary_record(report), file=out)
     return 0

@@ -9,6 +9,7 @@ observable at a finite stage, so the three are deliberately kept apart.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -46,29 +47,36 @@ class StageView:
     A view answers reads only during the `step` call it is passed to:
     `run_session` advances one view through the stages, so a view kept past
     its step would read under a later stage's bound and log into that stage.
-    Its `reads` is the session's one read set, emptied after each stage that read.
+    Its `reads` holds one int key per distinct read of the current stage:
+    `~pos` for target position pos, `j * stride + pos` for informant row j,
+    where the stride is the table length.  Every logged position has passed
+    `0 <= pos < bound <= stride`, so no two reads share a key;
+    `SessionTrace.reads` decodes them.
     """
 
-    __slots__ = ("_target", "_rows", "_stage", "_bound", "reads", "informant_size")
+    __slots__ = ("_target", "_rows", "_stage", "_bound", "_stride", "reads",
+                 "informant_size")
 
     def __init__(self, target_table, rows, informant_size):
         self._target = target_table
         self._rows = rows
         self._stage = self._bound = 0
+        self._stride = len(target_table)
         self.reads = set()
         self.informant_size = informant_size
 
     def target_bit(self, pos: int) -> int:
         if not 0 <= pos < self._bound:
             check_read(self._stage, pos, self._bound)
-        self.reads.add(("t", pos))
+        self.reads.add(~pos)
         return self._target[pos]
 
     def informant_bit(self, j: int, pos: int) -> int:
         if not 0 <= pos < self._bound:
             check_read(self._stage, pos, self._bound)
-        self.reads.add(("i", j, pos))
-        return self._rows[j][pos]
+        row = self._rows[j]  # an index the store refuses raises before it is logged
+        self.reads.add(j * self._stride + pos)
+        return row[pos]
 
 
 class InformantRows(dict):
@@ -91,15 +99,34 @@ class InformantRows(dict):
 
 @dataclass(frozen=True)
 class SessionTrace:
+    """One session's record.  `read_keys` holds each stage's set of
+    `StageView` keys as the view logged it (a stage that read nothing holds
+    one shared empty frozenset); `reads` decodes them on first access, so a
+    session whose reads nobody asks for never builds an entry.  The sets
+    stay mutable, so a trace is not hashable."""
+
     target: Word
     informant: Informant
     hypotheses: tuple         # h_0 .. h_H
     pointers: tuple           # per-stage pointer or None
-    reads: tuple              # per-stage frozensets of query log entries
+    read_keys: tuple          # per-stage sets of StageView read keys
+    stride: int               # the view's table length, the informant keys' row stride
 
     @property
     def horizon(self) -> int:
         return len(self.hypotheses) - 1
+
+    @functools.cached_property
+    def reads(self) -> tuple:
+        """Per-stage frozensets of ("t", pos) and ("i", j, pos) entries."""
+        stride = self.stride
+
+        def entry(key):
+            if key < 0:
+                return ("t", ~key)
+            return ("i", *divmod(key, stride))
+
+        return tuple(frozenset(map(entry, keys)) for keys in self.read_keys)
 
 
 @dataclass(frozen=True)
@@ -124,8 +151,9 @@ def run_session(learner: Learner, target: Word, informant: Informant,
 
     The learner's whole use schedule is read first, in one
     `learner.use_bounds(horizon)` call.  One view, advanced stage by stage,
-    answers from bit tables as long as the largest bound.  Its one read set
-    serves the whole session, emptied after each stage that read.
+    answers from bit tables as long as the largest bound.  A stage that read
+    hands the view's read set to the trace as it is and gives the view a new
+    one; no stage's keys are copied or decoded here.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1, got {horizon}")
@@ -138,7 +166,7 @@ def run_session(learner: Learner, target: Word, informant: Informant,
     hyps, pointers, reads = [], [], []
     last_pointer = None
     seen = view.reads
-    empty = frozenset()  # frozenset(set()) would build a new object per stage
+    empty = frozenset()  # one object for every stage that read nothing
     for stage, bound in enumerate(bounds):
         view._stage, view._bound = stage, bound
         state, hyp = step(state, stage, view)
@@ -150,11 +178,12 @@ def run_session(learner: Learner, target: Word, informant: Informant,
         hyps.append(hyp)
         pointers.append(pointer)
         if seen:
-            reads.append(frozenset(seen))
-            seen.clear()
+            reads.append(seen)
+            seen = view.reads = set()
         else:
             reads.append(empty)
-    return SessionTrace(target, informant, tuple(hyps), tuple(pointers), tuple(reads))
+    return SessionTrace(target, informant, tuple(hyps), tuple(pointers), tuple(reads),
+                        length)
 
 
 def summarize(trace: SessionTrace, relation,

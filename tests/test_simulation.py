@@ -9,7 +9,7 @@ from stepping that machine by hand.
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limitlearn.errors import ConfigError, ContractViolation, UseViolation
@@ -72,7 +72,26 @@ def test_stage_view_logs_reads():
     assert view.informant_bit(0, 1) == 1
     assert view.informant_bit(0, 2) == 1
     assert view.target_bit(3) == 0
-    assert view.reads == {("t", 3), ("i", 0, 1), ("i", 0, 2)}
+    # ~pos for the target, j * stride + pos for informant row j; stride 5 here
+    assert view.reads == {~3, 1, 2}
+    # the row is looked up first, so an index the store refuses leaves no key
+    with pytest.raises(ConfigError):
+        view.informant_bit(1, 0)
+    assert view.reads == {~3, 1, 2}
+
+    class Reader(Learner):
+        use = ((0, 5),)
+
+        def step(self, state, stage, view):
+            view.target_bit(3)
+            view.informant_bit(1, 4)
+            view.informant_bit(0, 1)
+            return state, 0
+
+    trace = run_session(Reader(), W("|0"), Informant.explicit([W("|1"), W("|0")]), 1)
+    assert trace.stride == 5
+    assert trace.read_keys == ({~3, 9, 1}, {~3, 9, 1})
+    assert trace.reads == (frozenset({("t", 3), ("i", 1, 4), ("i", 0, 1)}),) * 2
 
 
 def test_stage_view_enforces_the_bound():
@@ -170,6 +189,55 @@ def test_session_tables_match_the_lazy_reference_view(data, target, ws, generate
     got = run_session(learner, target, informant, horizon)
     want = lazy_session(learner, target, informant, horizon)
     assert (got.hypotheses, got.pointers, got.reads) == want
+
+
+class ScriptedReader(Learner):
+    """Reads script[stage] in order, each read ("t", pos) or ("i", j, pos),
+    under the constant use bound `bound`."""
+
+    def __init__(self, bound, script):
+        self.use = ((0, bound),)
+        self.script = script
+
+    def step(self, state, stage, view):
+        for read in self.script[stage]:
+            if read[0] == "t":
+                view.target_bit(read[1])
+            else:
+                view.informant_bit(read[1], read[2])
+        return state, 0
+
+
+@st.composite
+def read_scripts(draw):
+    """(bound, informant size, per-stage reads), the positions drawn often at
+    0 and at bound - 1 (the stride - 1 of the session's keys) and the
+    informant indices often past 0."""
+    bound = draw(st.integers(1, 6))
+    size = draw(st.integers(2, 4))
+    pos = st.sampled_from([0, bound - 1]) | st.integers(0, bound - 1)
+    read = (st.tuples(st.just("t"), pos)
+            | st.tuples(st.just("i"), st.integers(1, size - 1) | st.just(0), pos))
+    stages = draw(st.integers(2, 5))
+    return bound, size, draw(st.lists(st.lists(read, max_size=6),
+                                      min_size=stages, max_size=stages))
+
+
+@settings(max_examples=200, deadline=None)
+@given(read_scripts(), small_words, st.lists(small_words, min_size=4, max_size=4))
+@example((3, 3, [[("i", 1, 2), ("i", 2, 0), ("t", 2), ("t", 0), ("i", 0, 2)], []]),
+         W("|0"), [W("|1")] * 4)
+def test_read_keys_decode_to_the_tuple_log(script, target, ws):
+    """Target and informant keys, and the last position of one row and the
+    first of the next, never share a key: the decoded log equals a
+    tuple-logging view's, stage by stage."""
+    bound, size, reads = script
+    learner = ScriptedReader(bound, reads)
+    informant = Informant.explicit(ws[:size])
+    trace = run_session(learner, target, informant, len(reads) - 1)
+    assert trace.stride == bound
+    assert trace.reads == lazy_session(learner, target, informant, len(reads) - 1)[2]
+    assert [len(keys) for keys in trace.read_keys] == [len(set(r)) for r in reads]
 
 
 # ----------------------------------------------------------------- sessions
@@ -385,7 +453,7 @@ def test_use_principle_replays_reach_the_learner():
     learner, target, informant = reference_setup()
     cert = certify_convergence(learner, target)
     trace = run_session(learner, target, informant, 8)
-    blind = dataclasses.replace(trace, reads=tuple(frozenset() for _ in trace.reads))
+    blind = dataclasses.replace(trace, read_keys=tuple(frozenset() for _ in trace.read_keys))
     assert not use_principle_check(learner, cert, blind, 8)
     assert use_principle_check(learner, cert, trace, 8)
 

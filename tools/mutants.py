@@ -92,10 +92,15 @@ ROWS = [
     (LEARNERS, "        if not rows:\n            raise ConfigError(\"rows file holds no rows\")\n", "",
      "tests/test_learners.py::test_learner_from_string_errors",
      "countable:FILE accepts a file that holds no rows"),
-    (SIMULATION, "            reads.append(frozenset(seen))\n            seen.clear()\n",
-     "            reads.append(frozenset(seen))\n",
+    (SIMULATION, "            seen = view.reads = set()\n", "",
      "tests/test_simulation.py::test_reference_session_trace",
-     "the session's read set is never emptied, so each stage's reads hold every earlier stage's"),
+     "the view keeps the set it handed over, so every stage that read shares one set of all reads"),
+    (SIMULATION, "j * self._stride + pos", "j * (self._stride - 1) + pos",
+     "tests/test_simulation.py::test_read_keys_decode_to_the_tuple_log",
+     "informant rows are keyed one position too close, so a row's last read decodes as the next row's"),
+    (SIMULATION, "            if key < 0:\n", "            if key >= 0:\n",
+     "tests/test_simulation.py::test_stage_view_logs_reads",
+     "the decode reads informant keys as target entries and target keys as informant entries"),
     (SIMULATION, "        if pointer is not None and last_pointer is not None and pointer < last_pointer:\n",
      "        if False:\n",
      "tests/test_simulation.py::test_run_session_asserts_pointer_monotonicity",
