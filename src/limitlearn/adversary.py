@@ -7,6 +7,7 @@ slots.  Every verdict ships enough committed data to replay it exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -202,17 +203,14 @@ def bc_class_membership_procedure(bc: Learner, relation, y: Word, b, z: Word,
     if horizon < 4:
         raise ConfigError("membership procedure needs horizon at least 4")
 
-    checked = {}
-
+    @functools.cache
     def b_checked(n: int) -> Word:
-        if n not in checked:
-            w = b(n)
-            if w.prefix(n) != y.prefix(n):
-                raise ContractViolation(f"b({n}) does not extend the target prefix of length {n}")
-            if relation.decide(w, y):
-                raise ContractViolation(f"b({n}) is related to the target")
-            checked[n] = w
-        return checked[n]
+        w = b(n)
+        if w.prefix(n) != y.prefix(n):
+            raise ContractViolation(f"b({n}) does not extend the target prefix of length {n}")
+        if relation.decide(w, y):
+            raise ContractViolation(f"b({n}) is related to the target")
+        return w
 
     for n in range(horizon + 1):
         b_checked(n)

@@ -27,7 +27,6 @@ from .adversary import (
 from .errors import (
     ConfigError,
     ContractViolation,
-    CrosscheckDisagreement,
     UnsupportedAtomError,
     content_lines,
     natural,
@@ -53,11 +52,12 @@ from .words import finite_support_word, parse_word
 
 # Each option once: attribute (flag --attribute, - for _), config key, default,
 # accepted range (None: unbounded) and help; an int default marks a natural
-# number.  maxSize stops at 7: 544,644 pairs, which falsify sweeps in 6.7 s on
-# e0 and 0.8 s on id on a 2-core Xeon host under Python 3.11.7.  horizon stops
-# at 1,000,000, where README's e0 simulate session takes 5.4-7.1 s and peaks at
-# 382 MiB RSS on that host: a session builds its use bounds and bit tables for
-# the whole horizon before stage 0, so 10^9 would need gigabytes first.
+# number.  maxSize stops at 7: 544,644 pairs, which falsify sweeps in 9.8-10.5 s
+# on e0 and 1.2-1.3 s on id (back to back, 2026-10-20) on a 2-core Xeon host
+# under Python 3.11.7.  horizon stops at 1,000,000, where README's e0 simulate
+# session takes 5.4-7.1 s and peaks at 382 MiB RSS on that host: a session
+# builds its use bounds and bit tables for the whole horizon before stage 0, so
+# 10^9 would need gigabytes first.
 # The budgets stop where a run still ends in seconds on that host: patience at
 # 1,000,000 (adversary against constant:0, 1.0 s; 10^7 takes 6.9 s), rounds at
 # 1,000 (recent-ones, 1.0 s; its use bound is the stage, so a run is quadratic
@@ -144,13 +144,13 @@ def _read_code(cfg: SimpleNamespace):
     return parse_formula(read_text(cfg.base_dir / cfg.code, "code file"))
 
 
-def _cmd_catalog(cfg: SimpleNamespace, out) -> int:
+def _cmd_catalog(cfg: SimpleNamespace) -> int:
     for name, learnable, summary in catalog_rows():
-        print(f"relation={name} learnable={learnable} summary={summary}", file=out)
+        print(f"relation={name} learnable={learnable} summary={summary}")
     return 0
 
 
-def _cmd_simulate(cfg: SimpleNamespace, out) -> int:
+def _cmd_simulate(cfg: SimpleNamespace) -> int:
     relation = _relation_of(cfg)
     target = parse_word(_require(cfg, "target"))
     informant = _informant_of(cfg)
@@ -163,22 +163,21 @@ def _cmd_simulate(cfg: SimpleNamespace, out) -> int:
         certificate = certify_convergence(learner, target)
     for s in range(trace.horizon + 1):
         print(format_stage_record(s, trace.hypotheses[s], trace.pointers[s],
-                                  len(trace.read_keys[s])), file=out)
-    report = summarize(trace, relation, certificate)
-    print(format_summary_record(report), file=out)
+                                  len(trace.read_keys[s])))
+    print(format_summary_record(summarize(trace, relation), certificate))
     return 0
 
 
-def _cmd_adversary(cfg: SimpleNamespace, out) -> int:
+def _cmd_adversary(cfg: SimpleNamespace) -> int:
     relation = _relation_of(cfg)
     learner = learner_from_string(_require(cfg, "learner"), relation,
                                   inf_family_informant(), str(cfg.base_dir))
     run = diagonalize_inf(learner, relation, cfg.patience, cfg.rounds)
-    print(format_adversary_record(run), file=out)
+    print(format_adversary_record(run))
     return 0
 
 
-def _cmd_falsify(cfg: SimpleNamespace, out) -> int:
+def _cmd_falsify(cfg: SimpleNamespace) -> int:
     relation = _relation_of(cfg)
     if cfg.code is not None:
         codes = ((Path(cfg.code).stem, _read_code(cfg)),)
@@ -187,14 +186,13 @@ def _cmd_falsify(cfg: SimpleNamespace, out) -> int:
     for name, code in codes:
         pair = falsify_inf_classifier(code, relation, cfg.max_size)
         if pair is None:
-            print(f"code={name} counterexample=NONE", file=out)
+            print(f"code={name} counterexample=NONE")
         else:
-            print(f"code={name} counterexample x={pair[0].literal} y={pair[1].literal}",
-                  file=out)
+            print(f"code={name} counterexample x={pair[0].literal} y={pair[1].literal}")
     return 0
 
 
-def _cmd_crosscheck(cfg: SimpleNamespace, out) -> int:
+def _cmd_crosscheck(cfg: SimpleNamespace) -> int:
     relation = _relation_of(cfg)
     if relation.name == "oscillation":
         if cfg.code is not None:
@@ -212,10 +210,11 @@ def _cmd_crosscheck(cfg: SimpleNamespace, out) -> int:
         expected = relation.decide(x, y)
         got = check(x, y)
         if got != expected:
-            raise CrosscheckDisagreement(
-                f"sample {i}: x={x.literal} y={y.literal} oracle={expected} evaluator={got}")
+            print(f"disagreement: sample {i}: x={x.literal} y={y.literal} "
+                  f"oracle={expected} evaluator={got}", file=sys.stderr)
+            return 4
     print(f"crosscheck relation={relation.name} samples={cfg.samples} "
-          f"seed={cfg.seed} agreement=ok", file=out)
+          f"seed={cfg.seed} agreement=ok")
     return 0
 
 
@@ -247,16 +246,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge(args)
-        return _COMMANDS[args.command](cfg, sys.stdout)
+        return _COMMANDS[args.command](cfg)
     except (ConfigError, UnsupportedAtomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 3
-    except CrosscheckDisagreement as exc:
-        print(f"disagreement: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -32,10 +32,6 @@ class UnsupportedAtomError(LimitlearnError):
     """Exact evaluation hit an atom it has no finite decision procedure for."""
 
 
-class CrosscheckDisagreement(LimitlearnError):
-    """Two deciders that must agree returned different answers."""
-
-
 def natural(text, what: str, lo: int = 0, hi: int | None = None) -> int:
     """`text`, an int or a string of ASCII digits, as a natural number in
     lo..hi (hi None: unbounded), or a ConfigError naming `what`."""

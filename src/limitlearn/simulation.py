@@ -142,7 +142,6 @@ class SessionReport:
     last_change_stage: int
     ex_correct_at_horizon: bool
     bc_correct_suffix_start: int | None
-    certified: ConvergenceCertificate | None
 
 
 def run_session(learner: Learner, target: Word, informant: Informant,
@@ -186,8 +185,7 @@ def run_session(learner: Learner, target: Word, informant: Informant,
                         length)
 
 
-def summarize(trace: SessionTrace, relation,
-              certificate: ConvergenceCertificate | None = None) -> SessionReport:
+def summarize(trace: SessionTrace, relation) -> SessionReport:
     hyps = trace.hypotheses
 
     def correct(h: int) -> bool:
@@ -203,7 +201,7 @@ def summarize(trace: SessionTrace, relation,
             break
         bc_start = start
     ex_correct = bc_start is not None and last_change < trace.horizon
-    return SessionReport(len(changes), last_change, ex_correct, bc_start, certificate)
+    return SessionReport(len(changes), last_change, ex_correct, bc_start)
 
 
 def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificate | None:
@@ -278,9 +276,10 @@ def format_stage_record(stage: int, hypothesis: int, pointer, bits_read_count: i
     return f"stage={stage} hypothesis={hypothesis} pointer={p} bitsReadCount={bits_read_count}"
 
 
-def format_summary_record(report: SessionReport) -> str:
+def format_summary_record(report: SessionReport,
+                          certificate: ConvergenceCertificate | None) -> str:
     bc = "-" if report.bc_correct_suffix_start is None else str(report.bc_correct_suffix_start)
-    cert = "-" if report.certified is None else str(report.certified.limit_index)
+    cert = "-" if certificate is None else str(certificate.limit_index)
     ex = "true" if report.ex_correct_at_horizon else "false"
     return (f"summary mindChanges={report.mind_changes} lastChangeStage={report.last_change_stage} "
             f"exCorrectAtHorizon={ex} bcCorrectSuffixStart={bc} certified={cert}")

@@ -96,11 +96,11 @@ def _build_crit1():
             assert all(h == cert.limit_index for h in trace.hypotheses[stab:])
             doubled = run_session(learner, target, informant, 2 * horizon)
             assert all(h == cert.limit_index for h in doubled.hypotheses[stab:])
-            report = summarize(trace, rel, cert)
+            report = summarize(trace, rel)
             assert report.ex_correct_at_horizon
             records.append(
                 f"c1 relation={name} case={i} target={target.literal} "
-                f"limit={cert.limit_index} stab={stab} {format_summary_record(report)}")
+                f"limit={cert.limit_index} stab={stab} {format_summary_record(report, cert)}")
             cases.append((name, i, learner, target, informant, cert, trace))
     return records, cases
 
@@ -166,7 +166,7 @@ def _build_crit3():
         assert report.mind_changes == 0 and report.ex_correct_at_horizon
         records.append(
             f"c3 case={i} target={target.literal} block={','.join(map(str, block))} "
-            f"hyp={low} {format_summary_record(report)}")
+            f"hyp={low} {format_summary_record(report, None)}")
     return records
 
 

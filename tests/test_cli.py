@@ -290,11 +290,12 @@ def test_crosscheck_determinism(capsys):
 # ---------------------------------------------------------------- exit codes
 
 def test_wrong_code_disagrees_with_exit_4(capsys, workdir):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "crosscheck", "--relation", "e0", "--samples", "200", "--seed", "0",
         "--code", "idcode.s2f", "--config", str(workdir / "run.cfg"),
     )
     assert code == 4
+    assert out == ""
     assert err.startswith("disagreement: sample 2:")
     assert "oracle=True evaluator=False" in err
 
@@ -350,7 +351,7 @@ def test_config_errors_exit_2(capsys, workdir, tmp_path):
 
 def test_program_faults_are_not_config_errors(monkeypatch):
     """A ValueError raised inside a command is a fault, not exit 2."""
-    def broken(cfg, out):
+    def broken(cfg):
         raise ValueError("fault inside a command")
 
     monkeypatch.setitem(cli._COMMANDS, "catalog", broken)

@@ -306,9 +306,8 @@ def test_run_session_asserts_pointer_monotonicity():
 def test_reference_summary():
     learner, target, informant = reference_setup()
     trace = run_session(learner, target, informant, 8)
-    cert = certify_convergence(learner, target)
-    report = summarize(trace, E0, cert)
-    assert report == SessionReport(2, 4, True, 4, cert)
+    report = summarize(trace, E0)
+    assert report == SessionReport(2, 4, True, 4)
 
 
 def test_out_of_range_hypotheses_read_as_incorrect():
@@ -319,7 +318,6 @@ def test_out_of_range_hypotheses_read_as_incorrect():
     assert report.last_change_stage == 0
     assert not report.ex_correct_at_horizon
     assert report.bc_correct_suffix_start is None
-    assert report.certified is None
 
 
 def test_bc_without_ex_convergence():
@@ -343,7 +341,7 @@ def test_summarize_decides_once_per_hypothesis_run():
 
     trace = run_session(CyclingLearner((0,)), W("1|0"), Informant.explicit([W("|0")]), 1000)
     report = summarize(trace, CountingE0())
-    assert report == SessionReport(0, 0, True, 0, None)
+    assert report == SessionReport(0, 0, True, 0)
     assert len(calls) <= report.mind_changes + 1
 
 
@@ -466,13 +464,13 @@ def test_record_formats():
     learner, target, informant = reference_setup()
     trace = run_session(learner, target, informant, 8)
     cert = certify_convergence(learner, target)
-    report = summarize(trace, E0, cert)
-    assert format_summary_record(report) == (
+    report = summarize(trace, E0)
+    assert format_summary_record(report, cert) == (
         "summary mindChanges=2 lastChangeStage=4 exCorrectAtHorizon=true "
         "bcCorrectSuffixStart=4 certified=1"
     )
-    bare = SessionReport(0, 0, False, None, None)
-    assert format_summary_record(bare) == (
+    bare = SessionReport(0, 0, False, None)
+    assert format_summary_record(bare, None) == (
         "summary mindChanges=0 lastChangeStage=0 exCorrectAtHorizon=false "
         "bcCorrectSuffixStart=- certified=-"
     )

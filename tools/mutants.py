@@ -265,6 +265,18 @@ ROWS = [
      "                    raise ContractViolation(\n",
      "tests/test_adversary.py::test_diagonalize_checks_the_stuck_witness",
      "the diagonalizer reports a stuck witness that does not refute the parked claim"),
+    (CLI, "            return 4\n", "            return 0\n",
+     "tests/test_cli.py::test_wrong_code_disagrees_with_exit_4",
+     "crosscheck reports a disagreement but exits 0"),
+    (CLI, 'evaluator={got}", file=sys.stderr)', 'evaluator={got}")',
+     "tests/test_cli.py::test_wrong_code_disagrees_with_exit_4",
+     "crosscheck prints its disagreement line to stdout"),
+    (SIMULATION, 'cert = "-" if certificate is None else str(certificate.limit_index)', 'cert = "-"',
+     "tests/test_simulation.py::test_record_formats",
+     "the summary record prints certified=- whatever the certificate"),
+    (ADVERSARY, "    @functools.cache\n    def b_checked", "    def b_checked",
+     "tests/test_adversary.py::test_membership_checks_b_eagerly",
+     "the membership procedure calls b again for every pin, not once per n"),
 ]
 
 
