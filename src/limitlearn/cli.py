@@ -1,7 +1,8 @@
 """Command line experiment runner.
 
-Five subcommands: catalog, simulate, adversary, falsify, crosscheck.  A flat
-key = value config file can stand in for any flag; flags win on conflict.
+Five subcommands: catalog, simulate, adversary, falsify, crosscheck.  Each
+takes only the flags it reads.  A flat key = value config file can hold any
+subcommand's keys and is checked whole; flags win on conflict.
 All randomness flows from the single seed through one generator, so equal
 configs emit byte-identical records.
 
@@ -51,8 +52,10 @@ from .simulation import (
 from .words import finite_support_word, parse_word
 
 # Each option once: attribute (flag --attribute, - for _), config key, default,
-# accepted range (None: unbounded) and help; an int default marks a natural
-# number.  maxSize stops at 7: 544,644 pairs, which falsify sweeps in 9.8-10.5 s
+# accepted range (None: unbounded), help, and readers: the subcommands that
+# take its flag.  An int default marks a natural number.  A config file may hold
+# any key, whichever subcommand reads it, and every value is checked.
+# maxSize stops at 7: 544,644 pairs, which falsify sweeps in 9.8-10.5 s
 # on e0 and 1.2-1.3 s on id (back to back, 2026-10-20) on a 2-core Xeon host
 # under Python 3.11.7.  horizon stops at 1,000,000, where README's e0 simulate
 # session takes 5.4-7.1 s and peaks at 382 MiB RSS on that host: a session
@@ -64,17 +67,19 @@ from .words import finite_support_word, parse_word
 # in it and 3,000 take 8.2 s), samples at 100,000 (crosscheck on e0, 3.8 s;
 # 10^6 take 36 s).
 _OPTIONS = (
-    ("relation", "relation", None, None, "catalog name or tree:PATH"),
-    ("target", "target", None, None, "word literal PRE|PER"),
-    ("informant", "informant", None, None, "word literals, or one generator name"),
-    ("learner", "learner", None, None, "learner selection string"),
-    ("horizon", "horizon", 100, (1, 1_000_000), None),
-    ("seed", "seed", 0, (0, None), None),
-    ("patience", "patience", 64, (0, 1_000_000), None),
-    ("rounds", "rounds", 10, (0, 1_000), None),
-    ("max_size", "maxSize", 6, (1, 7), None),
-    ("samples", "samples", 100, (1, 100_000), None),
-    ("code", "code", None, None, "formula file"),
+    ("relation", "relation", None, None, "catalog name or tree:PATH",
+     ("simulate", "adversary", "falsify", "crosscheck")),
+    ("target", "target", None, None, "word literal PRE|PER", ("simulate",)),
+    ("informant", "informant", None, None, "word literals, or one generator name",
+     ("simulate",)),
+    ("learner", "learner", None, None, "learner selection string", ("simulate", "adversary")),
+    ("horizon", "horizon", 100, (1, 1_000_000), None, ("simulate",)),
+    ("seed", "seed", 0, (0, None), None, ("crosscheck",)),
+    ("patience", "patience", 64, (0, 1_000_000), None, ("adversary",)),
+    ("rounds", "rounds", 10, (0, 1_000), None, ("adversary",)),
+    ("max_size", "maxSize", 6, (1, 7), None, ("falsify",)),
+    ("samples", "samples", 100, (1, 100_000), None, ("crosscheck",)),
+    ("code", "code", None, None, "formula file", ("falsify", "crosscheck")),
 )
 _CONFIG_KEYS = {key for _, key, *_ in _OPTIONS}
 
@@ -106,8 +111,8 @@ def _merge(args) -> SimpleNamespace:
         path = Path(args.config)
         file_cfg, base_dir = parse_config_file(read_text(path, "config")), path.parent
     cfg = SimpleNamespace(base_dir=base_dir)
-    for attr, key, default, bounds, _ in _OPTIONS:
-        value = getattr(args, attr)
+    for attr, key, default, bounds, *_ in _OPTIONS:
+        value = getattr(args, attr, None)
         if value is None:
             value = file_cfg.get(key, default)
         if isinstance(default, int):
@@ -236,9 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value config file")
-        for attr, _, _, _, help_text in _OPTIONS:
-            p.add_argument("--" + attr.replace("_", "-"), help=help_text,
-                           nargs="+" if attr == "informant" else None)
+        for attr, _, _, _, help_text, readers in _OPTIONS:
+            if name in readers:
+                p.add_argument("--" + attr.replace("_", "-"), help=help_text,
+                               nargs="+" if attr == "informant" else None)
     return parser
 
 

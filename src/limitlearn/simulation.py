@@ -19,7 +19,9 @@ from .learners import Informant, Learner, SynthLearner, cantor_unpair
 from .words import Word, with_bits
 
 __all__ = [
+    "check_read",
     "StageView",
+    "InformantRows",
     "SessionTrace",
     "SessionReport",
     "ConvergenceCertificate",

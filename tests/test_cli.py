@@ -335,12 +335,16 @@ def test_config_errors_exit_2(capsys, workdir, tmp_path):
         ("adversary", "--relation", "sim0", "--learner", "recent-ones",
          "--rounds", "1001"),                                             # rounds past cap
         ("crosscheck", "--relation", "e0", "--samples", "100001"),        # samples past cap
-        ("catalog", "--horizon", "0"),                                    # checked everywhere
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+    # a config file is checked whole, whichever subcommand reads it
+    (tmp_path / "h.cfg").write_text("horizon = 0\n")
+    code, _, err = run_cli(capsys, "catalog", "--config", str(tmp_path / "h.cfg"))
+    assert code == 2
+    assert err.startswith("error: horizon must be at least 1")
     # a bad learner argument is reported under its learner kind
     for spec in ("constant:-2", "recent-ones:abc"):
         code, _, err = run_cli(capsys, "simulate", "--relation", "e0", "--target", "|0",
@@ -580,9 +584,15 @@ def test_readme_transcripts(capsys, tmp_path, monkeypatch):
     assert ran == 8
 
 
+UNREAD_FLAGS = [(command, "--" + attr.replace("_", "-"))
+                for command in cli._COMMANDS
+                for attr, *_, readers in _OPTIONS if command not in readers]
+
+
 def test_readme_keys_and_help_flags_match_the_option_table(capsys):
     """The README's config keys are the table's, and each subcommand's --help
-    lists every table flag exactly once."""
+    lists --config and the flag of every row that names it as a reader, each
+    once, and no other table flag."""
     keys = README.read_text().split("Keys are", 1)[1].split(".", 1)[0]
     assert re.findall(r"`(\w+)`", keys) == [key for _, key, *_ in _OPTIONS]
     for command in ("catalog", "simulate", "adversary", "falsify", "crosscheck"):
@@ -591,5 +601,19 @@ def test_readme_keys_and_help_flags_match_the_option_table(capsys):
         assert exc.value.code == 0
         heads = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                  if line.strip()]
-        for attr, *_ in _OPTIONS:
-            assert heads.count("--" + attr.replace("_", "-")) == 1, (command, attr)
+        assert heads.count("--config") == 1, command
+        for attr, *_, readers in _OPTIONS:
+            want = 1 if command in readers else 0
+            assert heads.count("--" + attr.replace("_", "-")) == want, (command, attr)
+    # 16 of the 55 (subcommand, flag) pairs are read, and catalog reads none
+    assert len(UNREAD_FLAGS) == 39
+    assert not any("catalog" in readers for *_, readers in _OPTIONS)
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_flags_are_usage_errors(command, flag):
+    """A flag its subcommand does not read exits 2 through argparse, as an
+    unknown flag does, instead of being accepted and ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1"])
+    assert exc.value.code == 2

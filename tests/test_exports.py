@@ -1,8 +1,11 @@
-"""Every name a module exports through __all__ resolves on that module, and
-the package root exports nothing: each name is imported from its module."""
+"""Every name a module exports through __all__ resolves on that module, every
+name a module imports from a sibling is exported there, and the package root
+exports nothing: each name is imported from its module."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,19 @@ MODULES = [
 def test_all_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+
+
+def test_sibling_imports_are_exported():
+    """A name one limitlearn module imports from a sibling that declares
+    __all__ is listed in that __all__."""
+    exported = {mod.__name__.rsplit(".", 1)[1]: set(mod.__all__) for mod in MODULES}
+    missing = []
+    for path in sorted(Path(limitlearn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in exported:
+                missing += [f"{path.stem} imports {alias.name} from {node.module}"
+                            for alias in node.names if alias.name not in exported[node.module]]
+    assert not missing, missing
 
 
 def test_package_root_re_exports_nothing():

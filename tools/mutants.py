@@ -8,9 +8,9 @@ both files) are copied to a temporary directory, the row's old snippet,
 which must occur exactly once in its file, is replaced by the new snippet,
 and `python -m pytest -x -q --hypothesis-profile=mutants` runs the row's
 test selection on that copy.  The profile, registered in tests/conftest.py,
-derandomizes Hypothesis and skips shrinking, so a row's verdict depends only
-on the code; a row that survives under it gets its input pinned with
-`@example`.
+derandomizes Hypothesis, drops its deadline and skips shrinking, so a row's
+verdict depends only on the code; a row that survives under it gets its
+input pinned with `@example`.
 A row is killed when pytest exits 1.  Exit 0 means the mutant survived;
 any other exit code (2: a collection error, 4: a selected test that does
 not import or exist, 5: no test collected), or an old snippet that does
@@ -277,6 +277,12 @@ ROWS = [
     (ADVERSARY, "    @functools.cache\n    def b_checked", "    def b_checked",
      "tests/test_adversary.py::test_membership_checks_b_eagerly",
      "the membership procedure calls b again for every pin, not once per n"),
+    (CLI, "            if name in readers:\n", "            if True:\n",
+     "tests/test_cli.py::test_unread_flags_are_usage_errors",
+     "every subcommand takes every flag, so a flag it does not read is accepted and ignored"),
+    (CLI, '(1, 1_000_000), None, ("simulate",)', "(1, 1_000_000), None, ()",
+     "tests/test_cli.py::test_simulate_reference_output",
+     "simulate does not take --horizon, so a session with a horizon flag is a usage error"),
 ]
 
 
