@@ -240,6 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        p.set_defaults(parser=p)  # leftover flags get this subcommand's usage line
         p.add_argument("--config", help="key = value config file")
         for attr, _, _, _, help_text, readers in _OPTIONS:
             if name in readers:
@@ -249,7 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = _merge(args)
         return _COMMANDS[args.command](cfg)

@@ -29,8 +29,6 @@ __all__ = [
     "Or",
     "ExistsForall",
     "ForallExists",
-    "FAnd",
-    "FOr",
     "TERM_N",
     "TERM_M",
     "const_term",
@@ -149,21 +147,9 @@ class ForallExists:
         return lower(Not(self.pred))
 
 
-@dataclass(frozen=True)
-class FAnd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class FOr:
-    left: object
-    right: object
-
-
 # The grammar of the code language: each AST class with its text head and the
-# kinds of its fields, p predicate, f formula, s side, t index term.  The two
-# levels have separate tables because the heads and, or name a node at both.
+# kinds of its fields, p predicate, f formula, s side, t index term.  And, Or
+# are one node read at either level; the level's table gives its fields' kind.
 _PRED_FORMS = {
     Not: ("not", "p"),
     And: ("and", "pp"),
@@ -176,8 +162,8 @@ _PRED_FORMS = {
 _FORMULA_FORMS = {
     ExistsForall: ("ef", "p"),
     ForallExists: ("fe", "p"),
-    FAnd: ("and", "ff"),
-    FOr: ("or", "ff"),
+    And: ("and", "ff"),
+    Or: ("or", "ff"),
 }
 _LEVELS = {"p": (_PRED_FORMS, "predicate"), "f": (_FORMULA_FORMS, "formula")}
 
@@ -428,9 +414,9 @@ def eval_exact_ep(f, x, y) -> bool:
         return exists_forall_witness(f.lowered, x, y) is not None
     if isinstance(f, ForallExists):
         return exists_forall_witness(f.lowered, x, y) is None
-    if isinstance(f, FAnd):
+    if isinstance(f, And):
         return eval_exact_ep(f.left, x, y) and eval_exact_ep(f.right, x, y)
-    if isinstance(f, FOr):
+    if isinstance(f, Or):
         return eval_exact_ep(f.left, x, y) or eval_exact_ep(f.right, x, y)
     raise ConfigError(f"not a formula node: {f!r}")
 

@@ -157,8 +157,8 @@ def _decide_id(x, y):
 
 def _decide_e0(x, y):
     start = max(len(x.pre), len(y.pre))
-    span = math.lcm(len(x.per), len(y.per))
-    return all(x.bit(i) == y.bit(i) for i in range(start, start + span))
+    end = start + math.lcm(len(x.per), len(y.per))
+    return x.prefix(end)[start:] == y.prefix(end)[start:]
 
 
 def _decide_sim0(x, y):

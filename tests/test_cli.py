@@ -611,9 +611,11 @@ def test_readme_keys_and_help_flags_match_the_option_table(capsys):
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
-def test_unread_flags_are_usage_errors(command, flag):
+def test_unread_flags_are_usage_errors(capsys, command, flag):
     """A flag its subcommand does not read exits 2 through argparse, as an
-    unknown flag does, instead of being accepted and ignored."""
+    unknown flag does, instead of being accepted and ignored, and the usage
+    line shown is that subcommand's."""
     with pytest.raises(SystemExit) as exc:
         main([command, flag, "1"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: limitlearn {command} ")

@@ -24,8 +24,6 @@ from limitlearn.formulas import (
     BitOf,
     CountLe,
     ExistsForall,
-    FAnd,
-    FOr,
     ForallExists,
     IndexTerm,
     Le,
@@ -403,7 +401,12 @@ def test_lower_rejects_a_predicate_too_deep_to_compile():
     with pytest.raises(ConfigError, match="not a predicate node"):
         lower(Not("x"))
     with pytest.raises(ConfigError, match="not a formula node"):
-        eval_exact_ep(FAnd(id_code(), "x"), Word("", "0"), Word("", "0"))
+        eval_exact_ep(And(id_code(), "x"), Word("", "0"), Word("", "0"))
+    # one And node serves both levels, and each evaluator refuses the other level
+    with pytest.raises(ConfigError, match="not a predicate node"):
+        lower(And(id_code(), id_code()))
+    with pytest.raises(ConfigError, match="not a formula node"):
+        eval_exact_ep(And(BitOf("x", TERM_M), BitOf("y", TERM_M)), Word("", "0"), Word("", "0"))
 
 
 def test_exact_rejects_unsupported_atoms():
@@ -423,9 +426,9 @@ def test_exact_rejects_unsupported_atoms():
 
 def test_exact_on_compound_formulas():
     x, y = Word("1", "0"), Word("", "0")
-    assert eval_exact_ep(FAnd(e0_code(), e0_code()), x, y) is True
-    assert eval_exact_ep(FAnd(e0_code(), id_code()), x, y) is False
-    assert eval_exact_ep(FOr(e0_code(), id_code()), x, y) is True
+    assert eval_exact_ep(And(e0_code(), e0_code()), x, y) is True
+    assert eval_exact_ep(And(e0_code(), id_code()), x, y) is False
+    assert eval_exact_ep(Or(e0_code(), id_code()), x, y) is True
     # forall-exists by negation: some bit differs, whatever the outer index
     fe = ForallExists(Not(BitEq(TERM_M, TERM_M)))
     assert eval_exact_ep(fe, Word("", "01"), Word("", "10")) is True
@@ -439,8 +442,7 @@ def test_exact_on_compound_formulas():
 # tables, so that a wrong head there breaks the round trips below.
 HEADS = {
     IndexTerm: "ix", BitOf: "bit", BitEq: "eq", Le: "le", CountLe: "cntle",
-    Not: "not", And: "and", Or: "or",
-    ExistsForall: "ef", ForallExists: "fe", FAnd: "and", FOr: "or",
+    Not: "not", And: "and", Or: "or", ExistsForall: "ef", ForallExists: "fe",
 }
 
 
@@ -454,8 +456,8 @@ def reference_text(node) -> str:
 
 def test_parse_format_round_trip():
     for f in (id_code(), e0_code(),
-              FAnd(id_code(), ForallExists(Not(BitOf("y", TERM_M)))),
-              FOr(e0_code(), ExistsForall(CountLe("x", const_term(0), const_term(4), const_term(2))))):
+              And(id_code(), ForallExists(Not(BitOf("y", TERM_M)))),
+              Or(e0_code(), ExistsForall(CountLe("x", const_term(0), const_term(4), const_term(2))))):
         assert parse_formula(reference_text(f)) == f
 
 
@@ -506,7 +508,7 @@ def test_parse_formula_rejects_two_formulas():
 
 codes = st.recursive(
     st.one_of(st.builds(ExistsForall, code_preds), st.builds(ForallExists, code_preds)),
-    lambda inner: st.one_of(st.builds(FAnd, inner, inner), st.builds(FOr, inner, inner)),
+    lambda inner: st.one_of(st.builds(And, inner, inner), st.builds(Or, inner, inner)),
     max_leaves=4,
 )
 

@@ -120,6 +120,17 @@ def test_sim3_is_equality_past_bit_0_on_infinite_support(x, y):
     assert rel("sim3").decide(x, y) == (x == y or x.is_inf and y.is_inf and tail_agrees)
 
 
+@settings(max_examples=300)
+@given(capped_words, capped_words)
+def test_e0_matches_a_bit_by_bit_tail_scan(x, y):
+    """Past both preperiods the words are periodic, so agreeing there on two
+    common periods, read one bit at a time, is agreeing on the whole tail."""
+    start = max(len(x.pre), len(y.pre))
+    span = 2 * math.lcm(len(x.per), len(y.per))
+    tails_agree = all(x.bit(i) == y.bit(i) for i in range(start, start + span))
+    assert rel("e0").decide(x, y) == tails_agree
+
+
 # -------------------------------------------------------------- oscillation
 
 def test_oscillation_decides_inf_agreement():

@@ -182,8 +182,8 @@ ROWS = [
     (FORMULAS, "(1 << {_clamp(dn, dc + 1)})", "(1 << {_clamp(dn, dc)})",
      "tests/test_formulas.py::test_least_refutation_matches_eval_pred_at_every_m",
      "the low range of an le atom with negative slope misses its last m"),
-    (FORMULAS, '    FAnd: ("and", "ff"),\n    FOr: ("or", "ff"),\n',
-     '    FAnd: ("or", "ff"),\n    FOr: ("and", "ff"),\n',
+    (FORMULAS, '    And: ("and", "ff"),\n    Or: ("or", "ff"),\n',
+     '    And: ("or", "ff"),\n    Or: ("and", "ff"),\n',
      "tests/test_formulas.py::test_parse_format_round_trip",
      "the parser reads a formula-level and as or, and or as and"),
     (LEARNERS, "if a else (b + 1, 0)", "if a else (b, 0)",
@@ -205,6 +205,10 @@ ROWS = [
     (SIMULATION, "reversed([0] + changes)", "reversed(range(len(hyps)))",
      "tests/test_simulation.py::test_summarize_decides_once_per_hypothesis_run",
      "summarize decides the hypothesis at every stage, not once per run"),
+    (RELATIONS, "x.prefix(end)[start:] == y.prefix(end)[start:]",
+     "x.prefix(end)[start + 1:] == y.prefix(end)[start + 1:]",
+     "tests/test_relations.py::test_e0_matches_a_bit_by_bit_tail_scan",
+     "e0 skips the first position past both preperiods"),
     (RELATIONS, '"NO" if branches else "YES"', '"NO" if params.generators else "YES"',
      "tests/test_relations.py::test_learnability_follows_the_branches_the_relation_reads",
      "a tree is labelled NO for a generator that enumerates no word"),
@@ -280,6 +284,9 @@ ROWS = [
     (CLI, "            if name in readers:\n", "            if True:\n",
      "tests/test_cli.py::test_unread_flags_are_usage_errors",
      "every subcommand takes every flag, so a flag it does not read is accepted and ignored"),
+    (CLI, "    if extra:\n        args.parser.error(", "    if False:\n        args.parser.error(",
+     "tests/test_cli.py::test_unread_flags_are_usage_errors",
+     "main drops the flags no parser takes, so a stray flag is silently accepted"),
     (CLI, '(1, 1_000_000), None, ("simulate",)', "(1, 1_000_000), None, ()",
      "tests/test_cli.py::test_simulate_reference_output",
      "simulate does not take --horizon, so a session with a horizon flag is a usage error"),
