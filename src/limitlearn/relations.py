@@ -7,7 +7,6 @@ drive the E_T construction.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -156,9 +155,9 @@ def _decide_id(x, y):
 
 
 def _decide_e0(x, y):
-    start = max(len(x.pre), len(y.pre))
-    end = start + math.lcm(len(x.per), len(y.per))
-    return x.prefix(end)[start:] == y.prefix(end)[start:]
+    # canonical words with equal tails share one primitive period, so one period decides
+    p, start = len(x.per), max(len(x.pre), len(y.pre))
+    return len(y.per) == p and x.prefix(start + p)[start:] == y.prefix(start + p)[start:]
 
 
 def _decide_sim0(x, y):

@@ -39,6 +39,11 @@ capped_words = st.builds(
     st.text(alphabet="01", min_size=0, max_size=4),
     st.text(alphabet="01", min_size=1, max_size=3),
 )
+longer_words = st.builds(
+    Word,
+    st.text(alphabet="01", min_size=0, max_size=7),
+    st.text(alphabet="01", min_size=1, max_size=7),
+)
 
 
 # ------------------------------------------------------------------ catalog
@@ -80,6 +85,19 @@ def test_id_and_e0_values():
     assert not rel("e0").decide(W("|01"), W("|10"))
     assert not rel("e0").decide(W("|01"), W("|0011"))
     assert rel("e0").decide(W("0110|10"), W("|10"))
+    # the tails differ at the first position past both preperiods
+    assert not rel("e0").decide(W("1|0"), W("|1"))
+    # the tails agree on the shorter period's bits but have periods of different lengths
+    assert not rel("e0").decide(W("|0"), W("|01"))
+
+
+def test_e0_on_long_coprime_periods():
+    """Periods of 100,000 and 100,001 bits have a common period of 10^10 bits;
+    the decision reads one period of each word, not a common one."""
+    period = "1" + "0" * 99_999
+    x = Word("0", period)
+    assert not rel("e0").decide(x, Word("", "1" + "0" * 100_000))
+    assert rel("e0").decide(x, Word("1", period))
 
 
 def test_sim0_and_sim1_values():
@@ -121,12 +139,13 @@ def test_sim3_is_equality_past_bit_0_on_infinite_support(x, y):
 
 
 @settings(max_examples=300)
-@given(capped_words, capped_words)
+@given(longer_words, longer_words)
 def test_e0_matches_a_bit_by_bit_tail_scan(x, y):
-    """Past both preperiods the words are periodic, so agreeing there on two
-    common periods, read one bit at a time, is agreeing on the whole tail."""
+    """Past both preperiods the words are periodic with a common period, so
+    agreeing there on one common period, read one bit at a time, is agreeing
+    on the whole tail; the words reach past the size-5 exhaustive check."""
     start = max(len(x.pre), len(y.pre))
-    span = 2 * math.lcm(len(x.per), len(y.per))
+    span = math.lcm(len(x.per), len(y.per))
     tails_agree = all(x.bit(i) == y.bit(i) for i in range(start, start + span))
     assert rel("e0").decide(x, y) == tails_agree
 

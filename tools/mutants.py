@@ -205,10 +205,13 @@ ROWS = [
     (SIMULATION, "reversed([0] + changes)", "reversed(range(len(hyps)))",
      "tests/test_simulation.py::test_summarize_decides_once_per_hypothesis_run",
      "summarize decides the hypothesis at every stage, not once per run"),
-    (RELATIONS, "x.prefix(end)[start:] == y.prefix(end)[start:]",
-     "x.prefix(end)[start + 1:] == y.prefix(end)[start + 1:]",
-     "tests/test_relations.py::test_e0_matches_a_bit_by_bit_tail_scan",
+    (RELATIONS, "x.prefix(start + p)[start:] == y.prefix(start + p)[start:]",
+     "x.prefix(start + p)[start + 1:] == y.prefix(start + p)[start + 1:]",
+     "tests/test_relations.py::test_id_and_e0_values",
      "e0 skips the first position past both preperiods"),
+    (RELATIONS, "return len(y.per) == p and x.prefix", "return x.prefix",
+     "tests/test_relations.py::test_id_and_e0_values",
+     "e0 reads only the first word's period length, so a longer period agreeing there is related"),
     (RELATIONS, '"NO" if branches else "YES"', '"NO" if params.generators else "YES"',
      "tests/test_relations.py::test_learnability_follows_the_branches_the_relation_reads",
      "a tree is labelled NO for a generator that enumerates no word"),
