@@ -43,6 +43,7 @@ from .relations import (
 )
 from .sampling import crosscheck_pair
 from .simulation import (
+    HORIZON_CAP,
     certify_convergence,
     format_stage_record,
     format_summary_record,
@@ -55,8 +56,8 @@ from .words import finite_support_word, parse_word
 # accepted range (None: unbounded), help, and readers: the subcommands that
 # take its flag.  An int default marks a natural number.  A config file may hold
 # any key, whichever subcommand reads it, and every value is checked.
-# maxSize stops at 7: 544,644 pairs, which falsify sweeps in 9.8-10.5 s
-# on e0 and 1.2-1.3 s on id (back to back, 2026-10-20) on a 2-core Xeon host
+# maxSize stops at 7: 544,644 pairs, which falsify sweeps in 7.0-9.0 s
+# on e0 and 1.2-1.7 s on id (four runs each, 2026-10-21) on a 2-core Xeon host
 # under Python 3.11.7.  horizon stops at 1,000,000, where README's e0 simulate
 # session takes 5.4-7.1 s and peaks at 382 MiB RSS on that host: a session
 # builds its use bounds and bit tables for the whole horizon before stage 0, so
@@ -73,7 +74,7 @@ _OPTIONS = (
     ("informant", "informant", None, None, "word literals, or one generator name",
      ("simulate",)),
     ("learner", "learner", None, None, "learner selection string", ("simulate", "adversary")),
-    ("horizon", "horizon", 100, (1, 1_000_000), None, ("simulate",)),
+    ("horizon", "horizon", 100, (1, HORIZON_CAP), None, ("simulate",)),
     ("seed", "seed", 0, (0, None), None, ("crosscheck",)),
     ("patience", "patience", 64, (0, 1_000_000), None, ("adversary",)),
     ("rounds", "rounds", 10, (0, 1_000), None, ("adversary",)),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -189,8 +190,10 @@ class Lowered(NamedTuple):
     bit m is the truth at (n, m), for every m below the width of full, given
     that xb and yb hold every position the terms reach there.
     search(xb, yb, floor, mu, lift, outer) is the least n < outer whose mask
-    at width max(floor, mu*n + lift) is all ones, or None.  mask and search
-    are None when the profile refuses.  reads has one (side, term, d) per
+    at width max(floor, mu*n + lift) is all ones, or None; it computes each
+    largest part of the mask that names no n once, before its n loop, at the
+    widest width, and reads it there as (h_i & full).  mask and search are
+    None when the profile refuses.  reads has one (side, term, d) per
     term that reads a bit: every position read at (n, m) is below the largest
     term.value(n, m) + d, or none is read.  profile is (mu, kappa, refusal):
     the largest n-coefficient and constant of any term, and None or the
@@ -236,6 +239,8 @@ def _bit_mask(s: str, t: IndexTerm) -> str:
 
 # holds source of the read of each side's bit at a position, through the view
 _READ = {"x": "view.target_bit({})", "y": "view.informant_bit(j, {})"}
+# mask source of each connective over the masks of its operands
+_JOIN = {Not: "(full ^ {})", And: "({} & {})", Or: "({} | {})"}
 
 
 def _lower(p):
@@ -245,12 +250,12 @@ def _lower(p):
     """
     if isinstance(p, Not):
         h, k, reads, profile = _lower(p.inner)
-        return f"(not {h})", k and f"(full ^ {k})", reads, profile
+        return f"(not {h})", k and _JOIN[Not].format(k), reads, profile
     if isinstance(p, (And, Or)):
         (ha, ka, ra, pa), (hb, kb, rb, pb) = _lower(p.left), _lower(p.right)
         profile = (max(pa[0], pb[0]), max(pa[1], pb[1]), pa[2] or pb[2])
-        op, bitwise = ("and", "&") if isinstance(p, And) else ("or", "|")
-        return f"({ha} {op} {hb})", ka and kb and f"({ka} {bitwise} {kb})", ra + rb, profile
+        op = "and" if isinstance(p, And) else "or"
+        return f"({ha} {op} {hb})", ka and kb and _JOIN[type(p)].format(ka, kb), ra + rb, profile
     if isinstance(p, BitOf):
         s, t = "xy"["xy".index(p.side)], p.term
         return f"({_READ[s].format(_at(t))} == 1)", _bit_mask(s, t), ((p.side, t, 1),), _profile(t)
@@ -279,6 +284,20 @@ def _lower(p):
     raise ConfigError(f"not a predicate node: {p!r}")
 
 
+def _hoist(p, parts: list) -> str:
+    """Mask source of p as search's loop reads it: each largest part whose
+    source names no n is appended to parts and read as (h_i & full)."""
+    mask = _lower(p)[1]
+    if not re.search(r"\bn\b", mask):
+        parts.append(mask)
+        return f"(h{len(parts) - 1} & full)"
+    if isinstance(p, Not):
+        return _JOIN[Not].format(_hoist(p.inner, parts))
+    if isinstance(p, (And, Or)):
+        return _JOIN[type(p)].format(_hoist(p.left, parts), _hoist(p.right, parts))
+    return mask
+
+
 _HOLDS_SOURCE = """
 def holds(view, j, n, lo, hi):
     for m in range(lo, hi):
@@ -293,13 +312,15 @@ def mask(w, n, full):
     return {mask}
 
 def search(x, y, floor, mu, lift, outer):
-    for n in range(outer if mu else min(outer, 1)):
+{hoisted}    for n in range(outer if mu else min(outer, 1)):
         width = mu * n + lift
         full = (1 << (width if width > floor else floor)) - 1
-        if {mask} == full:
+        if {loop} == full:
             return n
     return None
 """
+# before the loop: the widest full it reaches, then the parts _hoist lifts, at that width
+_WIDEST = "    full = (1 << max(floor, mu * outer + lift)) - 1\n"
 
 
 def lower(p) -> Lowered:
@@ -308,7 +329,10 @@ def lower(p) -> Lowered:
     holds, mask, reads, profile = _lower(p)
     source = _HOLDS_SOURCE.format(holds=holds)
     if not profile[2]:
-        source += _EXACT_SOURCE.format(mask=mask)
+        parts = []
+        loop = _hoist(p, parts) if profile[0] else mask  # at mu = 0 one n is tried
+        hoisted = "".join(f"    h{i} = {k}\n" for i, k in enumerate(parts))
+        source += _EXACT_SOURCE.format(mask=mask, loop=loop, hoisted=hoisted and _WIDEST + hoisted)
     # all they call
     namespace = {"__builtins__": {"max": max, "min": min, "range": range, "sum": sum}}
     try:
@@ -360,11 +384,20 @@ def compile_pred(p, xbit, ybit):
 # expression generated from one template per predicate form, with only the
 # validated integers of the terms pasted in, and the lowering's search runs
 # the whole outer loop below over it as one compiled function per code.
-# The search takes two shortcuts.  An atom whose profile has mu = 0 is tried
-# at n = 0 alone: no term mentions n, so the mask and the width are the same
-# at every n, and 0 survives iff some n does.  Each word keeps its bit-int
-# (Word.bit_int) between searches, rebuilt only for a longer length: no mask
-# reads a bit at or past the length its search asks for.
+# The search takes three shortcuts.  An atom whose profile has mu = 0 is
+# tried at n = 0 alone: no term mentions n, so the mask and the width are the
+# same at every n, and 0 survives iff some n does.  Otherwise each largest
+# part of the mask that names no n is hoisted out of the n loop (Aho, Sethi
+# and Ullman, Compilers, 1986): computed once at the widest width the loop
+# reaches and read at each n as (h_i & full), which is exact because every
+# mask form is 0 from the width of full on and its lower bits do not depend
+# on that width.  Each word keeps its bit-int (Word.bit_int) between searches,
+# rebuilt only for a longer length: no mask reads a bit at or past the length
+# its search asks for.  A search past SCAN_CAP is refused, not run.
+
+# Outer values scanned times the widest inner width past which exists_forall_witness
+# refuses: e0's search at the cap takes about 2 s (2-core Xeon, Python 3.11.7).
+SCAN_CAP = 3 * 10**10
 
 
 def _exact_bounds(low: Lowered, x, y):
@@ -403,8 +436,11 @@ def least_refutation(low: Lowered, x, y, n: int) -> int | None:
 def exists_forall_witness(low: Lowered, x, y) -> int | None:
     """Least exact witness n of the EF atom over the lowered predicate, or None."""
     floor, mu, lift, outer = _exact_bounds(low, x, y)
+    width = max(floor, mu * outer + lift)
+    if (outer if mu else 1) * width > SCAN_CAP:
+        raise ConfigError(f"exact search of {outer} x {width} bits passes the cap of {SCAN_CAP}")
     # positions read at n < outer stay below n + width(n) + kappa
-    length = outer + max(floor, mu * outer + lift) + COEFF_CAP
+    length = outer + width + COEFF_CAP
     return low.search(x.bit_int(length), y.bit_int(length), floor, mu, lift, outer)
 
 

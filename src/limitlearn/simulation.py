@@ -14,11 +14,12 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConfigError, ContractViolation, UseViolation
-from .formulas import eval_exact_ep, least_refutation
+from .formulas import exists_forall_witness, least_refutation
 from .learners import Informant, Learner, SynthLearner, cantor_unpair
 from .words import Word, with_bits
 
 __all__ = [
+    "HORIZON_CAP",
     "check_read",
     "StageView",
     "InformantRows",
@@ -32,6 +33,9 @@ __all__ = [
     "format_stage_record",
     "format_summary_record",
 ]
+
+# The longest session the CLI runs; certify_convergence refuses a limit pair past it.
+HORIZON_CAP = 1_000_000
 
 
 def check_read(stage: int, pos: int, bound: int):
@@ -209,30 +213,29 @@ def summarize(trace: SessionTrace, relation) -> SessionReport:
 def certify_convergence(learner: Learner, target: Word) -> ConvergenceCertificate | None:
     """Exact convergence certificate for a synthesized learner, or None.
 
-    Walks the pair enumeration the synthesizer's pointer walks, but with
-    exact evaluation: every pair before the first exactly-true one gets a
-    concrete refuting witness (or a range skip), so the pointer's final
-    resting place is forced.
+    Pair (a, b) of the synthesizer's pointer walk is exactly true iff b is an
+    EF witness for informant word a, so the limit pair is the least Cantor
+    index over each word's least witness.  One past HORIZON_CAP raises
+    ConfigError: the pointer moves at most one pair per stage.  Every pair
+    before the limit gets a concrete refuting witness (or a range skip), so
+    the pointer's final resting place is forced.
     """
     if not isinstance(learner, SynthLearner):
         raise ConfigError("certification needs a synthesized learner")
-    ws = learner.informant.explicit_words()
-
-    if not any(eval_exact_ep(learner.code, target, w) for w in ws):
+    ws, low = learner.informant.explicit_words(), learner.lowered
+    witnesses = [exists_forall_witness(low, target, w) for w in ws]
+    k = min(((a + b) * (a + b + 1) // 2 + b for a, b in enumerate(witnesses) if b is not None),
+            default=None)
+    if k is None:
         return None
-
-    refutations = []
-    for k in itertools.count():
-        a, b = cantor_unpair(k)
-        m = None
-        if a < len(ws):
-            m = least_refutation(learner.lowered, target, ws[a], b)
-            if m is None:
-                break
-        refutations.append((a, b, m))
+    if k > HORIZON_CAP:
+        raise ConfigError(f"the certified pair's Cantor index {k} passes the horizon cap "
+                          f"of {HORIZON_CAP}")
+    refutations = tuple((a, b, least_refutation(low, target, ws[a], b) if a < len(ws) else None)
+                        for a, b in map(cantor_unpair, range(k)))
 
     stabilization = max([k] + [m + 1 for _, _, m in refutations if m is not None])
-    return ConvergenceCertificate(a, tuple(refutations), stabilization)
+    return ConvergenceCertificate(cantor_unpair(k)[0], refutations, stabilization)
 
 
 def use_principle_check(learner: Learner, cert: ConvergenceCertificate,

@@ -110,6 +110,25 @@ def test_simulate_generator_informant_skips_certification(capsys, workdir):
     assert out.splitlines()[-1].endswith("certified=-")
 
 
+def test_simulate_bounds_the_exact_work_it_certifies(capsys, workdir):
+    """Certification refuses at once, with one error line and no stage, a
+    limit pair past the horizon cap (least witness 30,001, Cantor index
+    450,075,002) and an exact search past the scan cap (periods 401 and 405).
+    Periods 101 and 105 stay under both: their session certifies nothing."""
+    def simulate(target, word, horizon):
+        return run_cli(capsys, "simulate", "--relation", "e0", "--target", target,
+                       "--informant", word, "--learner", f"synth:{workdir / 'e0.s2f'}",
+                       "--horizon", horizon)
+
+    for target, word in (("0" * 30000 + "1|0", "|0"), ("|1" + "0" * 400, "|1" + "0" * 404)):
+        code, out, err = simulate(target, word, "1")
+        assert code == 2 and out == "", err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    code, out, err = simulate("|1" + "0" * 100, "|1" + "0" * 104, "5")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 7 and out.splitlines()[-1].endswith("certified=-")
+
+
 # codes whose lowering refuses exact evaluation: a counting atom, a coefficient of 2
 REFUSED_CODES = {
     "cnt.s2f": "(ef (cntle y (ix 0 1 0) (ix 0 1 1) (ix 0 0 1)))\n",

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from limitlearn import formulas
 from limitlearn.adversary import enumerate_words
 from limitlearn.errors import ConfigError, UnsupportedAtomError
 from limitlearn.formulas import (
@@ -322,6 +323,56 @@ def test_exact_witness_is_the_first_n_surviving_its_inner_bound(p, x, y):
 
     first = next((n for n in range(_exact_bounds(low, x, y)[3]) if survives(n)), None)
     assert exists_forall_witness(low, x, y) == first
+
+
+def unhoisted_search(low, x, y):
+    """The first n < outer whose unhoisted mask, low.mask at that n's own
+    width, is all ones: search's loop with no part computed ahead of it."""
+    floor, mu, lift, outer = _exact_bounds(low, x, y)
+    length = outer + max(floor, mu * outer + lift) + COEFF_CAP
+    w = (x.bit_int(length), y.bit_int(length))
+    for n in range(outer):
+        full = (1 << max(floor, mu * n + lift)) - 1
+        if low.mask(w, n, full) == full:
+            return n
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(range_preds, sized_words, sized_words)
+# e0 on a related pair (witness 1) and an unrelated one: its n-free eq part is
+# read inside an or, where a part wider than full, or narrower, shows
+@example(e0_code().pred, Word("1", "0"), Word("", "0"))
+@example(e0_code().pred, Word("", "01"), Word("", "0011"))
+# an n-free part under not inside an n-dependent and, whose witness 3 has a
+# wider inner width than n = 0
+@example(And(Not(BitOf("x", TERM_M)), BitOf("y", TERM_N)), Word("", "0"), Word("", "0001"))
+def test_hoisted_search_matches_the_unhoisted_mask(p, x, y):
+    """search computes each largest n-free part once, at the widest width,
+    and reads it as (h_i & full): the same first n as the plain mask."""
+    low = lower(p)
+    assert exists_forall_witness(low, x, y) == unhoisted_search(low, x, y)
+
+
+def test_exact_search_refuses_past_its_scan_cap(monkeypatch):
+    """A search whose outer values times its widest inner width pass
+    SCAN_CAP refuses before it builds a bit-int; one at the cap runs.
+    Periods 401 and 405 put e0's search at 487,219 outer values of up to
+    649,626 bits, past the cap; id's code tries n = 0 alone, so the same
+    words stay under it."""
+    low, x, y = e0_code().lowered, Word("1", "0"), Word("", "0")
+    floor, mu, lift, outer = _exact_bounds(low, x, y)
+    size = outer * max(floor, mu * outer + lift)
+    with monkeypatch.context() as patch:
+        patch.setattr(formulas, "SCAN_CAP", size - 1)
+        with pytest.raises(ConfigError, match="passes the cap"):
+            exists_forall_witness(low, x, y)
+        patch.setattr(formulas, "SCAN_CAP", size)
+        assert exists_forall_witness(low, x, y) == 1
+    x, y = Word("", "1" + "0" * 400), Word("", "1" + "0" * 404)
+    with pytest.raises(ConfigError, match="passes the cap of 30000000000"):
+        exists_forall_witness(low, x, y)
+    assert exists_forall_witness(id_code().lowered, x, y) is None
 
 
 # terms with no n part: the search tries n = 0 alone

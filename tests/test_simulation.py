@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from limitlearn import simulation
 from limitlearn.errors import ConfigError, ContractViolation, UseViolation
 from limitlearn.learners import (
     ClassIndexSets,
@@ -364,6 +365,23 @@ def test_certificate_trivial_identity():
 def test_certificate_absent_when_no_word_is_related():
     learner = SynthLearner(e0_code(), Informant.explicit([W("|0"), W("|1")]))
     assert certify_convergence(learner, W("|01")) is None
+
+
+def test_certificate_refuses_a_limit_past_the_horizon_cap(monkeypatch):
+    """The limit pair is found before the walk.  Word |0 against the target
+    0^30000 1|0 has least witness 30,001, so the limit is pair (0, 30001),
+    Cantor index 450,075,002, which no session under the cap reaches: refused
+    at once.  The reference limit (1, 1) is index 4, admitted by a cap of 4
+    and refused by a cap of 3."""
+    learner = SynthLearner(e0_code(), Informant.explicit([W("|0")]))
+    with pytest.raises(ConfigError, match="450075002 passes the horizon cap"):
+        certify_convergence(learner, W("0" * 30000 + "1|0"))
+    learner, target, _ = reference_setup()
+    monkeypatch.setattr(simulation, "HORIZON_CAP", 4)
+    assert certify_convergence(learner, target).limit_index == 1
+    monkeypatch.setattr(simulation, "HORIZON_CAP", 3)
+    with pytest.raises(ConfigError, match="horizon cap"):
+        certify_convergence(learner, target)
 
 
 def test_certificate_requirements():

@@ -17,6 +17,10 @@ not import or exist, 5: no test collected), or an old snippet that does
 not occur exactly once, means the row is broken.  The script exits 1 if
 any row survives or is broken.
 
+Rows run on os.cpu_count() worker threads, each row's pytest in its own
+process and temporary directory; the report lists them in table order, each
+with its own wall time, and ends with the whole run's.
+
 A change that moves a snippet re-targets its row.  A row is dropped only
 with a note in CHANGES.md naming the test that still covers its fault.
 Stdlib only; each row takes a few seconds.
@@ -28,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -173,7 +178,7 @@ ROWS = [
     (ADVERSARY, "if w.size == total:", "if w.size <= total:",
      "tests/test_adversary.py::test_enumerate_words_prefix_and_canonicality",
      "the word enumeration keeps descriptions that canonicalization shortened"),
-    (FORMULAS, 'f"({ha} {op} {hb})"', 'f"({ha} {bitwise} {hb})"',
+    (FORMULAS, 'op = "and" if isinstance(p, And) else "or"', 'op = "&" if isinstance(p, And) else "|"',
      "tests/test_formulas.py::test_compile_reads_what_eval_pred_reads_in_its_order",
      "a lowered and/or reads both sides instead of short-circuiting"),
     (FORMULAS, '"view.informant_bit(j, {})"', '"view.informant_bit(0, {})"',
@@ -290,9 +295,22 @@ ROWS = [
     (CLI, "    if extra:\n        args.parser.error(", "    if False:\n        args.parser.error(",
      "tests/test_cli.py::test_unread_flags_are_usage_errors",
      "main drops the flags no parser takes, so a stray flag is silently accepted"),
-    (CLI, '(1, 1_000_000), None, ("simulate",)', "(1, 1_000_000), None, ()",
+    (CLI, '(1, HORIZON_CAP), None, ("simulate",)', "(1, HORIZON_CAP), None, ()",
      "tests/test_cli.py::test_simulate_reference_output",
      "simulate does not take --horizon, so a session with a horizon flag is a usage error"),
+    (FORMULAS, 'return f"(h{len(parts) - 1} & full)"', 'return f"h{len(parts) - 1}"',
+     "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
+     "the search reads a hoisted n-free part at the widest width, without & full"),
+    (FORMULAS, '_WIDEST = "    full = (1 << max(floor, mu * outer + lift)) - 1\\n"',
+     '_WIDEST = "    full = (1 << max(floor, lift)) - 1\\n"',
+     "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
+     "the search computes its hoisted parts at the first width, not the widest"),
+    (SIMULATION, "    if k > HORIZON_CAP:\n", "    if k >= HORIZON_CAP:\n",
+     "tests/test_simulation.py::test_certificate_refuses_a_limit_past_the_horizon_cap",
+     "certification refuses a limit pair at the horizon cap, not only past it"),
+    (FORMULAS, "    if (outer if mu else 1) * width > SCAN_CAP:\n", "    if False:\n",
+     "tests/test_formulas.py::test_exact_search_refuses_past_its_scan_cap",
+     "the exact search runs whatever its size, past the scan cap too"),
 ]
 
 
@@ -320,16 +338,23 @@ def run_row(row) -> tuple[str, str]:
     return verdict, f"pytest exit {done.returncode}\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
 
 
+def timed_row(row) -> tuple[str, str, float]:
+    """run_row's verdict and output, and the row's own wall time in seconds."""
+    start = time.perf_counter()
+    return (*run_row(row), time.perf_counter() - start)
+
+
 def main() -> int:
-    failures = 0
-    for number, row in enumerate(ROWS, 1):
-        start = time.perf_counter()
-        verdict, output = run_row(row)
-        print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  row {number:2}: {row[4]}", flush=True)
-        if verdict != "killed":
-            failures += 1
-            print(output, flush=True)
-    print(f"{len(ROWS) - failures} of {len(ROWS)} rows killed")
+    start, workers, failures = time.perf_counter(), os.cpu_count() or 1, 0
+    with ThreadPoolExecutor(workers) as pool:  # map yields in table order
+        for number, (row, (verdict, output, seconds)) in enumerate(
+                zip(ROWS, pool.map(timed_row, ROWS)), 1):
+            print(f"{verdict:8} {seconds:5.1f} s  row {number:2}: {row[4]}", flush=True)
+            if verdict != "killed":
+                failures += 1
+                print(output, flush=True)
+    print(f"{len(ROWS) - failures} of {len(ROWS)} rows killed in "
+          f"{time.perf_counter() - start:.0f} s on {workers} workers")
     return 1 if failures else 0
 
 
