@@ -56,8 +56,8 @@ from .words import finite_support_word, parse_word
 # accepted range (None: unbounded), help, and readers: the subcommands that
 # take its flag.  An int default marks a natural number.  A config file may hold
 # any key, whichever subcommand reads it, and every value is checked.
-# maxSize stops at 7: 544,644 pairs, which falsify sweeps in 7.0-9.0 s
-# on e0 and 1.2-1.7 s on id (four runs each, 2026-10-21) on a 2-core Xeon host
+# maxSize stops at 7: 544,644 pairs, which falsify sweeps in 2.0-2.3 s
+# on e0 and 1.1-1.2 s on id (four runs each, 2026-10-21) on a 2-core Xeon host
 # under Python 3.11.7.  horizon stops at 1,000,000, where README's e0 simulate
 # session takes 5.4-7.1 s and peaks at 382 MiB RSS on that host: a session
 # builds its use bounds and bit tables for the whole horizon before stage 0, so

@@ -192,7 +192,9 @@ class Lowered(NamedTuple):
     search(xb, yb, floor, mu, lift, outer) is the least n < outer whose mask
     at width max(floor, mu*n + lift) is all ones, or None; it computes each
     largest part of the mask that names no n once, before its n loop, at the
-    widest width, and reads it there as (h_i & full).  mask and search are
+    widest width, and reads it there as (h_i & full).  Past a failed n it
+    tries next the first n at which an le atom turns the bit of the mask's
+    highest zero, or n + 1 if a bit or eq atom names n.  mask and search are
     None when the profile refuses.  reads has one (side, term, d) per
     term that reads a bit: every position read at (n, m) is below the largest
     term.value(n, m) + d, or none is read.  profile is (mu, kappa, refusal):
@@ -244,26 +246,30 @@ _JOIN = {Not: "(full ^ {})", And: "({} & {})", Or: "({} | {})"}
 
 
 def _lower(p):
-    """(holds, mask, reads, profile) of p, holds and mask as source; see Lowered.
+    """(holds, mask, reads, profile, turns) of p, holds and mask as source;
+    see Lowered.  turns has the source of each n at which an le atom's mask
+    bit at m turns, for the search's jump; see the exact-truth comment.
 
     x and y name the bit-ints in mask; mask is None under a CountLe atom.
     """
     if isinstance(p, Not):
-        h, k, reads, profile = _lower(p.inner)
-        return f"(not {h})", k and _JOIN[Not].format(k), reads, profile
+        h, k, reads, profile, turns = _lower(p.inner)
+        return f"(not {h})", k and _JOIN[Not].format(k), reads, profile, turns
     if isinstance(p, (And, Or)):
-        (ha, ka, ra, pa), (hb, kb, rb, pb) = _lower(p.left), _lower(p.right)
+        (ha, ka, ra, pa, ta), (hb, kb, rb, pb, tb) = _lower(p.left), _lower(p.right)
         profile = (max(pa[0], pb[0]), max(pa[1], pb[1]), pa[2] or pb[2])
         op = "and" if isinstance(p, And) else "or"
-        return f"({ha} {op} {hb})", ka and kb and _JOIN[type(p)].format(ka, kb), ra + rb, profile
+        return (f"({ha} {op} {hb})", ka and kb and _JOIN[type(p)].format(ka, kb), ra + rb,
+                profile, ta + tb)
     if isinstance(p, BitOf):
         s, t = "xy"["xy".index(p.side)], p.term
-        return f"({_READ[s].format(_at(t))} == 1)", _bit_mask(s, t), ((p.side, t, 1),), _profile(t)
+        return (f"({_READ[s].format(_at(t))} == 1)", _bit_mask(s, t), ((p.side, t, 1),),
+                _profile(t), ())
     if isinstance(p, BitEq):
         tx, ty = p.term_x, p.term_y
         return (f"({_READ['x'].format(_at(tx))} == {_READ['y'].format(_at(ty))})",
                 f"(full ^ {_bit_mask('x', tx)} ^ {_bit_mask('y', ty)})",
-                (("x", tx, 1), ("y", ty, 1)), _profile(tx, ty))
+                (("x", tx, 1), ("y", ty, 1)), _profile(tx, ty), ())
     if isinstance(p, Le):
         # lhs <= rhs iff d + slope*m >= 0, d being rhs - lhs at m = 0
         l, r = p.lhs, p.rhs
@@ -275,12 +281,15 @@ def _lower(p):
             mask = f"(full & ((1 << {_clamp(dn, dc + 1)}) - 1))"
         else:  # the high range m >= -d: clear the max(-d, 0) low bits
             mask = f"(full & -(1 << {_clamp(-dn, -dc)}))"
-        return f"({_at(l)} <= {_at(r)})", mask, (), _profile(l, r)
+        # the bit at m, dn*n + dc + slope*m >= 0, turns on at n = -(dc + slope*m)
+        # if dn = 1 and off at n = dc + slope*m + 1 if dn = -1; at dn = 0 never
+        turn = _affine(0, -slope, -dc) if dn == 1 else _affine(0, slope, dc + 1)
+        return f"({_at(l)} <= {_at(r)})", mask, (), _profile(l, r), (turn,) if dn else ()
     if isinstance(p, CountLe):
         one, lo, hi, bd = _READ[p.side].format("i"), p.lo, p.hi, p.bound
         return (f"(sum({one} for i in range({_at(lo)}, {_at(hi)})) <= {_at(bd)})", None,
                 ((p.side, hi, 0),), _profile(lo, hi, bd, refusal=(
-                    "CountLe atoms have no periodicity threshold; use the relation's oracle")))
+                    "CountLe atoms have no periodicity threshold; use the relation's oracle")), ())
     raise ConfigError(f"not a predicate node: {p!r}")
 
 
@@ -312,29 +321,41 @@ def mask(w, n, full):
     return {mask}
 
 def search(x, y, floor, mu, lift, outer):
-{hoisted}    for n in range(outer if mu else min(outer, 1)):
+{hoisted}    n = 0
+    while n < outer:
         width = mu * n + lift
         full = (1 << (width if width > floor else floor)) - 1
-        if {loop} == full:
+        k = {loop}
+        if k == full:
             return n
-    return None
+{advance}    return None
 """
 # before the loop: the widest full it reaches, then the parts _hoist lifts, at that width
 _WIDEST = "    full = (1 << max(floor, mu * outer + lift)) - 1\n"
+# past a failed n: n + 1, or the first later n at which some le atom turns
+# its bit at m, the highest zero of the mask, or none when no atom turns
+_STEP = "        n += 1\n"
+_JUMP = "        m = (full ^ k).bit_length() - 1\n        after = outer\n{}        n = after\n"
+_TURN = "        if n < {0} < after:\n            after = {0}\n"
 
 
 def lower(p) -> Lowered:
     """Lower the predicate p and compile its parts, anew on each call; see
     Lowered.  Each EF or FE code node keeps its lowering in `.lowered`."""
-    holds, mask, reads, profile = _lower(p)
+    holds, mask, reads, profile, turns = _lower(p)
     source = _HOLDS_SOURCE.format(holds=holds)
     if not profile[2]:
         parts = []
         loop = _hoist(p, parts) if profile[0] else mask  # at mu = 0 one n is tried
         hoisted = "".join(f"    h{i} = {k}\n" for i, k in enumerate(parts))
-        source += _EXACT_SOURCE.format(mask=mask, loop=loop, hoisted=hoisted and _WIDEST + hoisted)
+        if any(t.coeff_n for _, t, _ in reads):
+            advance = _STEP
+        else:
+            advance = _JUMP.format("".join(map(_TURN.format, turns)))
+        source += _EXACT_SOURCE.format(mask=mask, loop=loop, advance=advance,
+                                       hoisted=hoisted and _WIDEST + hoisted)
     # all they call
-    namespace = {"__builtins__": {"max": max, "min": min, "range": range, "sum": sum}}
+    namespace = {"__builtins__": {"max": max, "range": range, "sum": sum}}
     try:
         exec(source, namespace)
     except SyntaxError:  # the parser's nesting limit, near 190 levels
@@ -384,19 +405,27 @@ def compile_pred(p, xbit, ybit):
 # expression generated from one template per predicate form, with only the
 # validated integers of the terms pasted in, and the lowering's search runs
 # the whole outer loop below over it as one compiled function per code.
-# The search takes three shortcuts.  An atom whose profile has mu = 0 is
-# tried at n = 0 alone: no term mentions n, so the mask and the width are the
-# same at every n, and 0 survives iff some n does.  Otherwise each largest
-# part of the mask that names no n is hoisted out of the n loop (Aho, Sethi
-# and Ullman, Compilers, 1986): computed once at the widest width the loop
-# reaches and read at each n as (h_i & full), which is exact because every
-# mask form is 0 from the width of full on and its lower bits do not depend
-# on that width.  Each word keeps its bit-int (Word.bit_int) between searches,
-# rebuilt only for a longer length: no mask reads a bit at or past the length
-# its search asks for.  A search past SCAN_CAP is refused, not run.
+# The search takes three shortcuts.  Each largest part of the mask that names
+# no n is hoisted out of the n loop (Aho, Sethi and Ullman, Compilers, 1986):
+# computed once at the widest width the loop reaches and read at each n as
+# (h_i & full), which is exact because every mask form is 0 from the width of
+# full on and its lower bits do not depend on that width.  Past a failed n,
+# unless a bit or eq atom names n, the search jumps to the first later n at
+# which an le atom turns its bit at m, the mask's highest zero, and stops if
+# none does: the skip rule of Boyer and Moore (CACM 20(10), 1977) on the
+# outer variable.  It is exact because the mask is bitwise in m and m stays
+# below the width, which never shrinks: every other part keeps its bit at m,
+# so each n skipped keeps the zero there.  An le atom's bit at m,
+# dn*n + dc + slope*m >= 0, turns at most once as n grows.  So a code whose
+# terms never name n tries n = 0 alone.  Each word keeps its bit-int
+# (Word.bit_int) between searches, rebuilt only for a longer length: no mask
+# reads a bit at or past the length its search asks for.  A search past
+# SCAN_CAP is refused, not run.
 
 # Outer values scanned times the widest inner width past which exists_forall_witness
-# refuses: e0's search at the cap takes about 2 s (2-core Xeon, Python 3.11.7).
+# refuses.  At the cap a search that steps through every n takes about 3.3 s
+# (2-core Xeon, Python 3.11.7): or(le(m+1, n), eq(n+m, m)) on words of periods
+# 221 and 225; e0's search jumps, and takes 4 ms there.
 SCAN_CAP = 3 * 10**10
 
 

@@ -338,18 +338,46 @@ def unhoisted_search(low, x, y):
     return None
 
 
+# terms with no n part
+n_free_terms = st.builds(
+    IndexTerm,
+    st.just(0),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=COEFF_CAP),
+)
+# bit and eq atoms without n, le atoms with it: the search jumps past a failed n
+jump_preds = pred_trees(st.one_of(
+    st.builds(BitOf, st.sampled_from("xy"), n_free_terms),
+    st.builds(BitEq, n_free_terms, n_free_terms),
+    st.builds(Le, wide_terms, wide_terms),
+))
+# x_1 = 01 0^w has its one 1 at m = 1, the only zero of not-bit
+not_x, x_1, y_0 = Not(BitOf("x", TERM_M)), Word("01", "0"), Word("", "0")
+
+
 @settings(max_examples=300, deadline=None)
-@given(range_preds, sized_words, sized_words)
+@given(st.one_of(range_preds, jump_preds, st.builds(Not, jump_preds)), sized_words, sized_words)
 # e0 on a related pair (witness 1) and an unrelated one: its n-free eq part is
-# read inside an or, where a part wider than full, or narrower, shows
+# read inside an or, where a part wider than full, or narrower, shows, and
+# its le atom's jump leaves n = 0 for m + 1
 @example(e0_code().pred, Word("1", "0"), Word("", "0"))
 @example(e0_code().pred, Word("", "01"), Word("", "0011"))
 # an n-free part under not inside an n-dependent and, whose witness 3 has a
-# wider inner width than n = 0
+# wider inner width than n = 0; its bit atom names n, so the search steps by one
 @example(And(Not(BitOf("x", TERM_M)), BitOf("y", TERM_N)), Word("", "0"), Word("", "0001"))
+# the six forms of an le atom's turn at m = 1, each the witness n it jumps to:
+# at dn = 1 the le holds from there on, at dn = -1 the le under not does
+@example(Or(Le(TERM_M, TERM_N), not_x), x_1, y_0)  # low, 1
+@example(Or(Not(Le(IndexTerm(1, 1, 0), const_term(5))), not_x), x_1, y_0)  # low, 5
+@example(Or(Le(const_term(6), IndexTerm(1, 1, 0)), not_x), x_1, y_0)  # high, 5
+@example(Or(Not(Le(TERM_N, TERM_M)), not_x), x_1, y_0)  # high, 2
+@example(Or(Le(const_term(4), TERM_N), not_x), x_1, y_0)  # flat, 4
+@example(Or(Not(Le(TERM_N, const_term(3))), not_x), x_1, y_0)  # flat, 4
 def test_hoisted_search_matches_the_unhoisted_mask(p, x, y):
     """search computes each largest n-free part once, at the widest width,
-    and reads it as (h_i & full): the same first n as the plain mask."""
+    and reads it as (h_i & full), and past a failed n it jumps to the first
+    n at which an le atom turns the mask's highest zero: the same first n as
+    the plain mask at every n."""
     low = lower(p)
     assert exists_forall_witness(low, x, y) == unhoisted_search(low, x, y)
 
@@ -375,13 +403,7 @@ def test_exact_search_refuses_past_its_scan_cap(monkeypatch):
     assert exists_forall_witness(id_code().lowered, x, y) is None
 
 
-# terms with no n part: the search tries n = 0 alone
-n_free_terms = st.builds(
-    IndexTerm,
-    st.just(0),
-    st.integers(min_value=0, max_value=1),
-    st.integers(min_value=0, max_value=COEFF_CAP),
-)
+# with no n in any term, the search tries n = 0 alone
 n_free_preds = pred_trees(st.one_of(
     st.builds(BitOf, st.sampled_from("xy"), n_free_terms),
     st.builds(BitEq, n_free_terms, n_free_terms),

@@ -131,10 +131,9 @@ ROWS = [
      "    def informant_bit(self, j, pos):\n",
      "tests/test_adversary.py::test_diagonalize_view_rejects_what_the_stage_view_rejects[informant-at-bound]",
      "the diagonalizer's view answers informant reads at or past the use bound"),
-    (FORMULAS, "range(outer if mu else min(outer, 1))",
-     "range(outer if mu > 1 else min(outer, 1))",
+    (FORMULAS, "(turn,) if dn else ()", "()",
      "tests/test_formulas.py::test_exact_least_witness",
-     "the exact search applies the n-free shortcut at mu == 1"),
+     "an le atom whose mask names n is taken as n-free, so e0's search stops after n = 0"),
     (FORMULAS, "        if not (isinstance(sx, list) and len(sx) == 4 and sx[0] == \"ix\"):\n"
      "            raise ConfigError(f\"expected (ix cN cM c), got {sx!r}\")\n", "",
      "tests/test_formulas.py::test_parse_errors",
@@ -311,6 +310,15 @@ ROWS = [
     (FORMULAS, "    if (outer if mu else 1) * width > SCAN_CAP:\n", "    if False:\n",
      "tests/test_formulas.py::test_exact_search_refuses_past_its_scan_cap",
      "the exact search runs whatever its size, past the scan cap too"),
+    (FORMULAS, "_affine(0, -slope, -dc)", "_affine(0, -slope, 1 - dc)",
+     "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
+     "an le atom with dn = 1 turns one n late, so the search jumps past e0's witness"),
+    (FORMULAS, "        if any(t.coeff_n for _, t, _ in reads):\n", "        if False:\n",
+     "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
+     "the search jumps past a failed n although a bit atom names n, so it skips a witness"),
+    (FORMULAS, "_affine(0, slope, dc + 1)", "_affine(0, -slope, dc + 1)",
+     "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
+     "an le atom with dn = -1 turns at dc - slope*m + 1, so not (le n m) never turns"),
 ]
 
 
