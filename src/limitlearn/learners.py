@@ -82,7 +82,9 @@ class Learner:
     successor, so a caller may step from a kept state again.
     A view answers reads only during the `step` call it is passed to;
     `run_session` reuses one view object for every stage, so a learner
-    must not keep it.
+    must not keep it.  `run_session` calls `step` at every stage, except
+    for a `SynthLearner` itself, whose pair walk it runs in one loop of its
+    own; a subclass of it is stepped like any other learner.
     """
 
     use = ()

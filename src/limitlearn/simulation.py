@@ -158,7 +158,10 @@ def run_session(learner: Learner, target: Word, informant: Informant,
     `learner.use_bounds(horizon)` call.  One view, advanced stage by stage,
     answers from bit tables as long as the largest bound.  A stage that read
     hands the view's read set to the trace as it is and gives the view a new
-    one; no stage's keys are copied or decoded here.
+    one; no stage's keys are copied or decoded here.  A `SynthLearner`
+    itself (not a subclass, whose `step` may differ) is run by
+    `_synth_stages`, its pair walk in one loop; every other learner is
+    stepped stage by stage, and its pointer may never retreat.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1, got {horizon}")
@@ -166,6 +169,15 @@ def run_session(learner: Learner, target: Word, informant: Informant,
     length = max(bounds)
     rows = InformantRows(informant, lambda w: w.bit_table(length))
     view = StageView(target.bit_table(length), rows, informant.size)
+    stages = _synth_stages if type(learner) is SynthLearner else _stepped_stages
+    hyps, pointers, reads = stages(learner, view, bounds)
+    return SessionTrace(target, informant, tuple(hyps), tuple(pointers), tuple(reads),
+                        length)
+
+
+def _stepped_stages(learner: Learner, view: StageView, bounds: list) -> tuple:
+    """The hypotheses, pointers and read sets of `learner.step` called at
+    every stage of `bounds`; a pointer that retreats raises."""
     state = learner.start_state
     step, at = learner.step, learner.pointer_at
     hyps, pointers, reads = [], [], []
@@ -187,8 +199,54 @@ def run_session(learner: Learner, target: Word, informant: Informant,
             seen = view.reads = set()
         else:
             reads.append(empty)
-    return SessionTrace(target, informant, tuple(hyps), tuple(pointers), tuple(reads),
-                        length)
+    return hyps, pointers, reads
+
+
+def _synth_stages(learner: SynthLearner, view: StageView, bounds: list) -> tuple:
+    """The hypotheses, pointers and read sets of `SynthLearner.step` over
+    every stage of `bounds`, its state (k, next_m, a, b) kept in locals.
+
+    Once the pointer k is capped at stage - 1 on a pair whose informant
+    index a is at or past the size, the next a - size + 1 stages read
+    nothing: each moves one pair down the diagonal, a falls by one, and k
+    stays capped.  Those stages are appended in bulk; the view is set only
+    for a stage that may read.
+    """
+    holds, size = learner.lowered.holds, view.informant_size
+    empty = frozenset()
+    hyps, pointers, reads = [0], [0], [empty]  # stage 0: k = 0 is at its cap
+    k = next_m = a = b = 0
+    seen = view.reads
+    stage, end = 1, len(bounds)
+    while stage < end:
+        # next_m is 0 here, since only a pair in range can hold; size 0
+        # would wrap at a = 0, so it takes the stage-by-stage walk
+        if size and a >= size and k == stage - 1:
+            r = min(a - size + 1, end - stage)
+            hyps.extend(range(a - 1, a - r - 1, -1))
+            pointers.extend(range(stage, stage + r))
+            reads.extend([empty] * r)
+            k, a, b, stage = k + r, a - r, b + r, stage + r
+            continue
+        view._stage, view._bound = stage, bounds[stage]
+        while True:
+            if (size is None or a < size) and holds(view, a, b, next_m, stage):
+                next_m = stage
+                break
+            k += 1
+            next_m = 0
+            a, b = (a - 1, b + 1) if a else (b + 1, 0)  # the pair cantor_unpair(k)
+            if k == stage:
+                break
+        hyps.append(a)
+        pointers.append(k)
+        if seen:
+            reads.append(seen)
+            view.reads = seen = set()
+        else:
+            reads.append(empty)
+        stage += 1
+    return hyps, pointers, reads
 
 
 def summarize(trace: SessionTrace, relation) -> SessionReport:

@@ -10,7 +10,7 @@ import copy
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limitlearn.errors import ConfigError, ContractViolation
@@ -174,11 +174,14 @@ def test_synth_without_size_never_skips():
 
 class ReferenceSynthLearner(SynthLearner):
     """The pair walk as first written: cantor_unpair for every pair tested and
-    once more for the result, and eval_pred at one m at a time."""
+    once more for the result, and eval_pred at one m at a time.  `steps`
+    counts its calls."""
 
     start_state = (0, 0)
+    steps = 0
 
     def step(self, state, stage, view):
+        self.steps += 1
         k, next_m = state
         size = view.informant_size
         x = SimpleNamespace(bit=view.target_bit)
@@ -202,13 +205,19 @@ small_words = st.builds(Word, st.text("01", max_size=4), st.text("01", min_size=
 @given(st.one_of(st.sampled_from([id_code(), e0_code()]), st.builds(ExistsForall, code_preds)),
        small_words, st.lists(small_words, min_size=1, max_size=8), st.booleans(),
        st.integers(1, 300))
+# the horizon ends inside the out-of-range run of diagonal 3, at pair (2, 1)
+@example(code=id_code(), target=W("|1"), ws=[W("|0")], generated=False, horizon=7)
 def test_synth_step_matches_the_reference_walk(code, target, ws, generated, horizon):
     """Sessions see the same hypotheses, pointers and per-stage reads, over an
-    explicit informant of 1 to 8 words or a generator one of no size."""
+    explicit informant of 1 to 8 words or a generator one of no size.  The
+    session steps the reference, a subclass, through its own step at every
+    stage, so the two sides run different walks."""
     informant = (Informant(lambda j: ws[j % len(ws)]) if generated
                  else Informant.explicit(ws))
     got = run_session(SynthLearner(code, informant), target, informant, horizon)
-    want = run_session(ReferenceSynthLearner(code, informant), target, informant, horizon)
+    reference = ReferenceSynthLearner(code, informant)
+    want = run_session(reference, target, informant, horizon)
+    assert reference.steps == horizon + 1
     assert got.hypotheses == want.hypotheses
     assert got.pointers == want.pointers
     assert got.reads == want.reads

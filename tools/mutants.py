@@ -76,8 +76,8 @@ ROWS = [
      "tests/test_learners.py::test_bc_to_ex_keeps_the_inner_pointer",
      "a bc2ex learner reports no pointer"),
     (LEARNERS, "    pointer_at = 0\n", "    pointer_at = None\n",
-     "tests/test_simulation.py::test_reference_session_trace",
-     "the synth learner reports no pointer"),
+     "tests/test_learners.py::test_bc_to_ex_keeps_the_inner_pointer",
+     "the synth learner declares no pointer, so a session of a bc2ex learner over it reports none"),
     (LEARNERS, "if j < 0 or self.size is not None and j >= self.size:", "if j < 0:",
      "tests/test_learners.py::test_informant_explicit",
      "an explicit informant answers an index past its last word"),
@@ -98,8 +98,13 @@ ROWS = [
      "tests/test_learners.py::test_learner_from_string_errors",
      "countable:FILE accepts a file that holds no rows"),
     (SIMULATION, "            seen = view.reads = set()\n", "",
+     "tests/test_simulation.py::test_session_tables_match_the_lazy_reference_view",
+     "a stepped learner's view keeps the set it handed over, so every stage that read "
+     "shares one set of all reads"),
+    (SIMULATION, "            view.reads = seen = set()\n", "",
      "tests/test_simulation.py::test_reference_session_trace",
-     "the view keeps the set it handed over, so every stage that read shares one set of all reads"),
+     "the synth walk's view keeps the set it handed over, so every stage that read "
+     "shares one set of all reads"),
     (SIMULATION, "j * self._stride + pos", "j * (self._stride - 1) + pos",
      "tests/test_simulation.py::test_read_keys_decode_to_the_tuple_log",
      "informant rows are keyed one position too close, so a row's last read decodes as the next row's"),
@@ -191,7 +196,8 @@ ROWS = [
      "tests/test_formulas.py::test_parse_format_round_trip",
      "the parser reads a formula-level and as or, and or as and"),
     (LEARNERS, "if a else (b + 1, 0)", "if a else (b, 0)",
-     "tests/test_learners.py::test_synth_step_matches_the_reference_walk",
+     "tests/test_learners.py::test_synth_step_matches_the_reference_walk "
+     "tests/test_simulation.py::test_session_tables_match_the_lazy_reference_view",
      "the synth learner's pair walk never leaves its first diagonal"),
     (SIMULATION, "[m + 1 for _, _, m in refutations", "[m for _, _, m in refutations",
      "tests/test_simulation.py::test_certificates_on_random_codes",
@@ -319,6 +325,18 @@ ROWS = [
     (FORMULAS, "_affine(0, slope, dc + 1)", "_affine(0, -slope, dc + 1)",
      "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
      "an le atom with dn = -1 turns at dc - slope*m + 1, so not (le n m) never turns"),
+    (SIMULATION, "r = min(a - size + 1, end - stage)", "r = min(a - size + 2, end - stage)",
+     "tests/test_learners.py::test_synth_step_matches_the_reference_walk",
+     "a lockstep run of out-of-range pairs goes one stage too far, to informant index size - 1"),
+    (SIMULATION, "if a else (b + 1, 0)", "if a else (b, 0)",
+     "tests/test_learners.py::test_synth_step_matches_the_reference_walk",
+     "the session's synth walk never leaves its first diagonal"),
+    (SIMULATION, "            next_m = 0\n", "",
+     "tests/test_learners.py::test_synth_step_matches_the_reference_walk",
+     "the session's synth walk tests a new pair only from the m its last held pair reached"),
+    (SIMULATION, "type(learner) is SynthLearner", "isinstance(learner, SynthLearner)",
+     "tests/test_learners.py::test_synth_step_matches_the_reference_walk",
+     "a SynthLearner subclass gets the session's synth walk, not its own step"),
 ]
 
 
