@@ -56,12 +56,12 @@ from .words import finite_support_word, parse_word
 # accepted range (None: unbounded), help, and readers: the subcommands that
 # take its flag.  An int default marks a natural number.  A config file may hold
 # any key, whichever subcommand reads it, and every value is checked.
-# maxSize stops at 7: 544,644 pairs, which falsify sweeps in 2.0-2.3 s
-# on e0 and 1.1-1.2 s on id (four runs each, 2026-10-21) on a 2-core Xeon host
-# under Python 3.11.7.  horizon stops at 1,000,000, where README's e0 simulate
-# session takes 5.4-7.1 s and peaks at 382 MiB RSS on that host: a session
-# builds its use bounds and bit tables for the whole horizon before stage 0, so
-# 10^9 would need gigabytes first.
+# maxSize stops at 7: 544,644 pairs, which falsify sweeps in 1.8-2.4 s
+# on e0 (one run of eight took 2.7 s) and 1.0-1.4 s on id (eight runs,
+# 2026-10-22) on a 2-core Xeon host under Python 3.11.7.  horizon stops at
+# 1,000,000, where README's e0 simulate session takes 4.6-5.3 s and peaks at
+# 382 MiB RSS on that host: a session builds its use bounds and bit tables for
+# the whole horizon before stage 0, so 10^9 would need gigabytes first.
 # The budgets stop where a run still ends in seconds on that host: patience at
 # 1,000,000 (adversary against constant:0, 1.0 s; 10^7 takes 6.9 s), rounds at
 # 1,000 (recent-ones, 1.0 s; its use bound is the stage, so a run is quadratic

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -190,10 +189,8 @@ class Lowered(NamedTuple):
     bit m is the truth at (n, m), for every m below the width of full, given
     that xb and yb hold every position the terms reach there.
     search(xb, yb, floor, mu, lift, outer) is the least n < outer whose mask
-    at width max(floor, mu*n + lift) is all ones, or None; it computes each
-    largest part of the mask that names no n once, before its n loop, at the
-    widest width, and reads it there as (h_i & full).  Past a failed n it
-    tries next the first n at which an le atom turns the bit of the mask's
+    at width max(floor, mu*n + lift) is all ones, or None.  Past a failed n
+    it tries next the first n at which an le atom turns the bit of the mask's
     highest zero, or n + 1 if a bit or eq atom names n.  mask and search are
     None when the profile refuses.  reads has one (side, term, d) per
     term that reads a bit: every position read at (n, m) is below the largest
@@ -293,20 +290,6 @@ def _lower(p):
     raise ConfigError(f"not a predicate node: {p!r}")
 
 
-def _hoist(p, parts: list) -> str:
-    """Mask source of p as search's loop reads it: each largest part whose
-    source names no n is appended to parts and read as (h_i & full)."""
-    mask = _lower(p)[1]
-    if not re.search(r"\bn\b", mask):
-        parts.append(mask)
-        return f"(h{len(parts) - 1} & full)"
-    if isinstance(p, Not):
-        return _JOIN[Not].format(_hoist(p.inner, parts))
-    if isinstance(p, (And, Or)):
-        return _JOIN[type(p)].format(_hoist(p.left, parts), _hoist(p.right, parts))
-    return mask
-
-
 _HOLDS_SOURCE = """
 def holds(view, j, n, lo, hi):
     for m in range(lo, hi):
@@ -321,17 +304,15 @@ def mask(w, n, full):
     return {mask}
 
 def search(x, y, floor, mu, lift, outer):
-{hoisted}    n = 0
+    n = 0
     while n < outer:
         width = mu * n + lift
         full = (1 << (width if width > floor else floor)) - 1
-        k = {loop}
+        k = {mask}
         if k == full:
             return n
 {advance}    return None
 """
-# before the loop: the widest full it reaches, then the parts _hoist lifts, at that width
-_WIDEST = "    full = (1 << max(floor, mu * outer + lift)) - 1\n"
 # past a failed n: n + 1, or the first later n at which some le atom turns
 # its bit at m, the highest zero of the mask, or none when no atom turns
 _STEP = "        n += 1\n"
@@ -345,15 +326,11 @@ def lower(p) -> Lowered:
     holds, mask, reads, profile, turns = _lower(p)
     source = _HOLDS_SOURCE.format(holds=holds)
     if not profile[2]:
-        parts = []
-        loop = _hoist(p, parts) if profile[0] else mask  # at mu = 0 one n is tried
-        hoisted = "".join(f"    h{i} = {k}\n" for i, k in enumerate(parts))
         if any(t.coeff_n for _, t, _ in reads):
             advance = _STEP
         else:
             advance = _JUMP.format("".join(map(_TURN.format, turns)))
-        source += _EXACT_SOURCE.format(mask=mask, loop=loop, advance=advance,
-                                       hoisted=hoisted and _WIDEST + hoisted)
+        source += _EXACT_SOURCE.format(mask=mask, advance=advance)
     # all they call
     namespace = {"__builtins__": {"max": max, "range": range, "sum": sum}}
     try:
@@ -405,28 +382,30 @@ def compile_pred(p, xbit, ybit):
 # expression generated from one template per predicate form, with only the
 # validated integers of the terms pasted in, and the lowering's search runs
 # the whole outer loop below over it as one compiled function per code.
-# The search takes three shortcuts.  Each largest part of the mask that names
-# no n is hoisted out of the n loop (Aho, Sethi and Ullman, Compilers, 1986):
-# computed once at the widest width the loop reaches and read at each n as
-# (h_i & full), which is exact because every mask form is 0 from the width of
-# full on and its lower bits do not depend on that width.  Past a failed n,
-# unless a bit or eq atom names n, the search jumps to the first later n at
-# which an le atom turns its bit at m, the mask's highest zero, and stops if
-# none does: the skip rule of Boyer and Moore (CACM 20(10), 1977) on the
-# outer variable.  It is exact because the mask is bitwise in m and m stays
-# below the width, which never shrinks: every other part keeps its bit at m,
-# so each n skipped keeps the zero there.  An le atom's bit at m,
-# dn*n + dc + slope*m >= 0, turns at most once as n grows.  So a code whose
-# terms never name n tries n = 0 alone.  Each word keeps its bit-int
-# (Word.bit_int) between searches, rebuilt only for a longer length: no mask
-# reads a bit at or past the length its search asks for.  A search past
-# SCAN_CAP is refused, not run.
+# The search takes two shortcuts.  Past a failed n, unless a bit or eq atom
+# names n, the search jumps to the first later n at which an le atom turns
+# its bit at m, the mask's highest zero, and stops if none does: the skip
+# rule of Boyer and Moore (CACM 20(10), 1977) on the outer variable.  It is
+# exact because the mask is bitwise in m and m stays below the width, which
+# never shrinks: every other part keeps its bit at m, so each n skipped keeps
+# the zero there.  An le atom's bit at m, dn*n + dc + slope*m >= 0, turns at
+# most once as n grows.  So a code whose terms never name n tries n = 0 alone.
+# Each word keeps its bit-int (Word.bit_int) between searches, rebuilt only
+# for a longer length: no mask reads a bit at or past the length its search
+# asks for.  A search past SCAN_CAP or LENGTH_CAP is refused, not run.
 
-# Outer values scanned times the widest inner width past which exists_forall_witness
-# refuses.  At the cap a search that steps through every n takes about 3.3 s
-# (2-core Xeon, Python 3.11.7): or(le(m+1, n), eq(n+m, m)) on words of periods
-# 221 and 225; e0's search jumps, and takes 4 ms there.
+# Outer values tried times the widest inner width past which exists_forall_witness
+# refuses.  At the cap a search that steps through every n takes seconds, more
+# with more atoms at each n (2-core Xeon, Python 3.11.7, words of periods 221
+# and 225): 2.9-3.7 s for or(le(m+1, n), eq(n+m, m)), 6.4-8.4 s for that or
+# joined by and to or(eq(m, m+1), not bit(y, m+2)); e0's search jumps, and
+# takes 4 ms there.
 SCAN_CAP = 3 * 10**10
+# Bits of each word's bit-int past which exists_forall_witness refuses.  At the
+# cap id's search, which tries n = 0 alone, takes 4.1 s and peaks at 829 MiB RSS
+# (periods 19,999 and 20,000, same host); periods 100,000 and 100,001 put its
+# one n under SCAN_CAP but would need gigabytes here.
+LENGTH_CAP = 4 * 10**8
 
 
 def _exact_bounds(low: Lowered, x, y):
@@ -466,10 +445,14 @@ def exists_forall_witness(low: Lowered, x, y) -> int | None:
     """Least exact witness n of the EF atom over the lowered predicate, or None."""
     floor, mu, lift, outer = _exact_bounds(low, x, y)
     width = max(floor, mu * outer + lift)
-    if (outer if mu else 1) * width > SCAN_CAP:
-        raise ConfigError(f"exact search of {outer} x {width} bits passes the cap of {SCAN_CAP}")
-    # positions read at n < outer stay below n + width(n) + kappa
-    length = outer + width + COEFF_CAP
+    tried = outer if mu else 1  # at mu = 0 the search tries n = 0 alone
+    if tried * width > SCAN_CAP:
+        raise ConfigError(f"exact search of {tried} x {width} bits passes the cap of {SCAN_CAP}")
+    # positions read at n < tried stay below n + width(n) + kappa
+    length = tried + width + COEFF_CAP
+    if length > LENGTH_CAP:
+        raise ConfigError(f"exact search reads {length} bits of each word, "
+                          f"past the cap of {LENGTH_CAP}")
     return low.search(x.bit_int(length), y.bit_int(length), floor, mu, lift, outer)
 
 

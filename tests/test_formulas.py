@@ -325,9 +325,9 @@ def test_exact_witness_is_the_first_n_surviving_its_inner_bound(p, x, y):
     assert exists_forall_witness(low, x, y) == first
 
 
-def unhoisted_search(low, x, y):
-    """The first n < outer whose unhoisted mask, low.mask at that n's own
-    width, is all ones: search's loop with no part computed ahead of it."""
+def mask_search(low, x, y):
+    """The first n < outer whose mask, low.mask at that n's own width, is
+    all ones: search's loop trying every n."""
     floor, mu, lift, outer = _exact_bounds(low, x, y)
     length = outer + max(floor, mu * outer + lift) + COEFF_CAP
     w = (x.bit_int(length), y.bit_int(length))
@@ -357,14 +357,16 @@ not_x, x_1, y_0 = Not(BitOf("x", TERM_M)), Word("01", "0"), Word("", "0")
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(range_preds, jump_preds, st.builds(Not, jump_preds)), sized_words, sized_words)
-# e0 on a related pair (witness 1) and an unrelated one: its n-free eq part is
-# read inside an or, where a part wider than full, or narrower, shows, and
-# its le atom's jump leaves n = 0 for m + 1
+# e0 on a related pair (witness 1) and an unrelated one: its le atom's jump
+# leaves n = 0 for m + 1
 @example(e0_code().pred, Word("1", "0"), Word("", "0"))
 @example(e0_code().pred, Word("", "01"), Word("", "0011"))
-# an n-free part under not inside an n-dependent and, whose witness 3 has a
+# an n-free atom under not inside an n-dependent and, whose witness 3 has a
 # wider inner width than n = 0; its bit atom names n, so the search steps by one
 @example(And(Not(BitOf("x", TERM_M)), BitOf("y", TERM_N)), Word("", "0"), Word("", "0001"))
+# id's one n has width lift = 2, below floor = 3, where the words first differ:
+# a search that drops the floor finds witness 0
+@example(id_code().pred, Word("", "0"), Word("00", "1"))
 # the six forms of an le atom's turn at m = 1, each the witness n it jumps to:
 # at dn = 1 the le holds from there on, at dn = -1 the le under not does
 @example(Or(Le(TERM_M, TERM_N), not_x), x_1, y_0)  # low, 1
@@ -373,13 +375,12 @@ not_x, x_1, y_0 = Not(BitOf("x", TERM_M)), Word("01", "0"), Word("", "0")
 @example(Or(Not(Le(TERM_N, TERM_M)), not_x), x_1, y_0)  # high, 2
 @example(Or(Le(const_term(4), TERM_N), not_x), x_1, y_0)  # flat, 4
 @example(Or(Not(Le(TERM_N, const_term(3))), not_x), x_1, y_0)  # flat, 4
-def test_hoisted_search_matches_the_unhoisted_mask(p, x, y):
-    """search computes each largest n-free part once, at the widest width,
-    and reads it as (h_i & full), and past a failed n it jumps to the first
-    n at which an le atom turns the mask's highest zero: the same first n as
-    the plain mask at every n."""
+def test_search_matches_the_mask_at_every_n(p, x, y):
+    """Past a failed n, search jumps to the first n at which an le atom
+    turns the mask's highest zero: the same first n as the mask tried at
+    every n."""
     low = lower(p)
-    assert exists_forall_witness(low, x, y) == unhoisted_search(low, x, y)
+    assert exists_forall_witness(low, x, y) == mask_search(low, x, y)
 
 
 def test_exact_search_refuses_past_its_scan_cap(monkeypatch):
@@ -401,6 +402,28 @@ def test_exact_search_refuses_past_its_scan_cap(monkeypatch):
     with pytest.raises(ConfigError, match="passes the cap of 30000000000"):
         exists_forall_witness(low, x, y)
     assert exists_forall_witness(id_code().lowered, x, y) is None
+
+
+def test_exact_search_refuses_past_its_length_cap(monkeypatch):
+    """A search whose bit-ints pass LENGTH_CAP refuses before it builds one;
+    one at the cap runs.  id's code tries n = 0 alone, so its bit-ints hold
+    1 + width + COEFF_CAP bits, not the outer bound's; periods 100,000 and
+    100,001 put that past the cap, and under the scan cap."""
+    low, x, y = id_code().lowered, Word("", "1" + "0" * 400), Word("", "1" + "0" * 404)
+    floor, _, lift, outer = _exact_bounds(low, x, y)
+    length = 1 + max(floor, lift) + COEFF_CAP
+    assert length < outer
+    with monkeypatch.context() as patch:
+        patch.setattr(formulas, "LENGTH_CAP", length - 1)
+        with pytest.raises(ConfigError, match="past the cap"):
+            exists_forall_witness(low, x, y)
+        patch.setattr(formulas, "LENGTH_CAP", length)
+        assert exists_forall_witness(low, x, y) is None
+    x, y = Word("", "1" + "0" * 99999), Word("", "1" + "0" * 100000)
+    floor, _, lift, _ = _exact_bounds(low, x, y)
+    assert max(floor, lift) < formulas.SCAN_CAP
+    with pytest.raises(ConfigError, match="past the cap of 400000000"):
+        exists_forall_witness(low, x, y)
 
 
 # with no n in any term, the search tries n = 0 alone

@@ -303,27 +303,20 @@ ROWS = [
     (CLI, '(1, HORIZON_CAP), None, ("simulate",)', "(1, HORIZON_CAP), None, ()",
      "tests/test_cli.py::test_simulate_reference_output",
      "simulate does not take --horizon, so a session with a horizon flag is a usage error"),
-    (FORMULAS, 'return f"(h{len(parts) - 1} & full)"', 'return f"h{len(parts) - 1}"',
-     "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
-     "the search reads a hoisted n-free part at the widest width, without & full"),
-    (FORMULAS, '_WIDEST = "    full = (1 << max(floor, mu * outer + lift)) - 1\\n"',
-     '_WIDEST = "    full = (1 << max(floor, lift)) - 1\\n"',
-     "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
-     "the search computes its hoisted parts at the first width, not the widest"),
     (SIMULATION, "    if k > HORIZON_CAP:\n", "    if k >= HORIZON_CAP:\n",
      "tests/test_simulation.py::test_certificate_refuses_a_limit_past_the_horizon_cap",
      "certification refuses a limit pair at the horizon cap, not only past it"),
-    (FORMULAS, "    if (outer if mu else 1) * width > SCAN_CAP:\n", "    if False:\n",
+    (FORMULAS, "    if tried * width > SCAN_CAP:\n", "    if False:\n",
      "tests/test_formulas.py::test_exact_search_refuses_past_its_scan_cap",
      "the exact search runs whatever its size, past the scan cap too"),
     (FORMULAS, "_affine(0, -slope, -dc)", "_affine(0, -slope, 1 - dc)",
-     "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
+     "tests/test_formulas.py::test_search_matches_the_mask_at_every_n",
      "an le atom with dn = 1 turns one n late, so the search jumps past e0's witness"),
     (FORMULAS, "        if any(t.coeff_n for _, t, _ in reads):\n", "        if False:\n",
-     "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
+     "tests/test_formulas.py::test_search_matches_the_mask_at_every_n",
      "the search jumps past a failed n although a bit atom names n, so it skips a witness"),
     (FORMULAS, "_affine(0, slope, dc + 1)", "_affine(0, -slope, dc + 1)",
-     "tests/test_formulas.py::test_hoisted_search_matches_the_unhoisted_mask",
+     "tests/test_formulas.py::test_search_matches_the_mask_at_every_n",
      "an le atom with dn = -1 turns at dc - slope*m + 1, so not (le n m) never turns"),
     (SIMULATION, "r = min(a - size + 1, end - stage)", "r = min(a - size + 2, end - stage)",
      "tests/test_learners.py::test_synth_step_matches_the_reference_walk",
@@ -337,6 +330,15 @@ ROWS = [
     (SIMULATION, "type(learner) is SynthLearner", "isinstance(learner, SynthLearner)",
      "tests/test_learners.py::test_synth_step_matches_the_reference_walk",
      "a SynthLearner subclass gets the session's synth walk, not its own step"),
+    (FORMULAS, "    length = tried + width + COEFF_CAP\n", "    length = outer + width + COEFF_CAP\n",
+     "tests/test_formulas.py::test_exact_search_refuses_past_its_length_cap",
+     "a search that tries n = 0 alone builds bit-ints for every n below the outer bound"),
+    (FORMULAS, "full = (1 << (width if width > floor else floor)) - 1", "full = (1 << width) - 1",
+     "tests/test_formulas.py::test_search_matches_the_mask_at_every_n",
+     "the search drops the width floor, so id tests only the m below lift"),
+    (FORMULAS, "    if length > LENGTH_CAP:\n", "    if False:\n",
+     "tests/test_formulas.py::test_exact_search_refuses_past_its_length_cap",
+     "the exact search builds bit-ints of any length, past the length cap too"),
 ]
 
 
